@@ -103,6 +103,27 @@ class IntegralCache:
         return result
 
 
+def per_time_integrals(points, integrand_at, rule, delta: float):
+    """``rule(integrand_at(t), delta)`` at every time t in ``points``.
+
+    ``rule`` returns a value, or a ``(value, divergent)`` pair as
+    ``probed_unit_integral`` does.  Results are reused through an
+    ``IntegralCache`` while the integrand does not change.  Returns the
+    per-time values, or None as soon as one time diverges.
+    """
+    per_t = np.empty(len(points))
+    cache = IntegralCache(delta)
+    for j, t in enumerate(points):
+        f = integrand_at(t)
+        hit = cache.get(f)
+        result = hit if hit is not None else cache.put(rule(f, delta))
+        value, divergent = result if isinstance(result, tuple) else (result, False)
+        if divergent:
+            return None
+        per_t[j] = value
+    return per_t
+
+
 def probed_unit_integral(f: Integrand, delta: float, start_nodes: int = 4096,
                          rel_tol: float = 1e-6, max_nodes: int = 2**18):
     """Integral plus a divergence verdict from shrinking the endpoint cut.

@@ -21,6 +21,7 @@ failure, 4 violated model assumption.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -35,8 +36,7 @@ from .errors import (AssumptionViolatedError, InvalidArgumentError,
                      NumericFailureError, UnsupportedOperationError)
 from .grid import TimeGrid, make_uniform_grid
 from .kl import kl_from_ensemble, tail_energy
-from .marginals import (ExponentialScale, GaussianScale, LognormalMixing,
-                        Pareto, ScaleMixtureGaussian, Uniform)
+from .marginals import FAMILY_KINDS, GaussianScale, LognormalMixing, Pareto
 from .robustness import (ExperimentConfig, check_assumption,
                          gaussian_minorant_params, pareto_elliptical_experiment,
                          pareto_minorant_params)
@@ -67,53 +67,70 @@ def _require(section: dict, key: str, context: str):
     return section[key]
 
 
+def _float(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(
+            f"config key {where} must be a number, got {value!r}") from None
+
+
+def _int(value, where: str, minimum: int | None = None) -> int:
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or (minimum is not None and value < minimum)):
+        kind = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise InvalidArgumentError(f"config key {where} must be {kind}, got {value!r}")
+    return value
+
+
+def _int_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidArgumentError(f"config key {where} must be a list of integers")
+    return [_int(k, where) for k in value]
+
+
 def _parse_grid(section, context="grid") -> TimeGrid:
     _check_keys(section, ("a", "b", "m"), context)
-    a = float(_require(section, "a", context))
-    b = float(_require(section, "b", context))
-    m = _require(section, "m", context)
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise InvalidArgumentError(f"{context}.m must be an integer")
-    return make_uniform_grid(a, b, m)
+    a, b = (_float(_require(section, key, context), f"{context}.{key}") for key in ("a", "b"))
+    return make_uniform_grid(a, b, _int(_require(section, "m", context), f"{context}.m"))
 
 
 def _parse_mixing(section, context="mixing") -> LognormalMixing:
     _check_keys(section, ("mu", "sigma"), context)
-    return LognormalMixing(float(section.get("mu", 0.0)),
-                           float(section.get("sigma", 0.5)))
+    return LognormalMixing(_float(section.get("mu", 0.0), f"{context}.mu"),
+                           _float(section.get("sigma", 0.5), f"{context}.sigma"))
 
 
 def _parse_family(section, context="family"):
+    """Build a ``FAMILY_KINDS`` family from the keys its class declares.
+
+    A key is required when the constructor gives it no default; for
+    families with a ``power_law_key``, ``power_law_hurst`` replaces it.
+    """
     kind = _require(section, "kind", context)
-    if kind == "gaussian_scale":
-        _check_keys(section, ("kind", "sigma", "mean", "power_law_hurst"), context)
-        if "power_law_hurst" in section:
-            if "sigma" in section:
-                raise InvalidArgumentError(
-                    f"{context}: give either sigma or power_law_hurst, not both")
-            return GaussianScale.power_law(float(section["power_law_hurst"]))
-        return GaussianScale(float(section.get("sigma", 1.0)),
-                             float(section.get("mean", 0.0)))
-    if kind == "exponential_scale":
-        _check_keys(section, ("kind", "scale", "power_law_hurst"), context)
-        if "power_law_hurst" in section:
-            if "scale" in section:
-                raise InvalidArgumentError(
-                    f"{context}: give either scale or power_law_hurst, not both")
-            return ExponentialScale.power_law(float(section["power_law_hurst"]))
-        return ExponentialScale(float(section.get("scale", 1.0)))
-    if kind == "pareto":
-        _check_keys(section, ("kind", "x_min", "alpha"), context)
-        return Pareto(float(_require(section, "x_min", context)),
-                      float(_require(section, "alpha", context)))
-    if kind == "uniform":
-        _check_keys(section, ("kind", "lo", "hi"), context)
-        return Uniform(float(section.get("lo", 0.0)), float(section.get("hi", 1.0)))
-    if kind == "scale_mixture_gaussian":
-        _check_keys(section, ("kind", "mixing", "scale"), context)
-        mixing = _parse_mixing(section.get("mixing", {}), f"{context}.mixing")
-        return ScaleMixtureGaussian(mixing, float(section.get("scale", 1.0)))
-    raise InvalidArgumentError(f"unknown marginal kind {context}.kind = {kind!r}")
+    cls = FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidArgumentError(f"unknown marginal kind {context}.kind = {kind!r}")
+    power_key = cls.power_law_key
+    _check_keys(section, ("kind", *cls.config_keys)
+                + (("power_law_hurst",) if power_key else ()), context)
+    defaults = inspect.signature(cls).parameters
+    kwargs = {}
+    for key in cls.config_keys:
+        where = f"{context}.{key}"
+        if key == "mixing":
+            kwargs[key] = _parse_mixing(section.get(key, {}), where)
+        elif key in section:
+            kwargs[key] = _float(section[key], where)
+        elif defaults[key].default is inspect.Parameter.empty:
+            raise InvalidArgumentError(f"missing config key {where}")
+    if "power_law_hurst" in section:
+        if power_key in section:
+            raise InvalidArgumentError(
+                f"{context}: give either {power_key} or power_law_hurst, not both")
+        return cls.power_law(_float(section["power_law_hurst"], f"{context}.power_law_hurst"),
+                             **kwargs)
+    return cls(**kwargs)
 
 
 def _parse_model(section, context="model") -> CopulaModel:
@@ -122,53 +139,36 @@ def _parse_model(section, context="model") -> CopulaModel:
     mixing = None
     if "mixing" in section:
         mixing = _parse_mixing(section["mixing"], f"{context}.mixing")
-    hurst = section.get("hurst")
-    theta = section.get("theta")
-    t0 = section.get("t0")
-    return CopulaModel(variant=variant,
-                       hurst=None if hurst is None else float(hurst),
-                       theta=None if theta is None else float(theta),
-                       mixing=mixing,
-                       t0=None if t0 is None else float(t0))
+    numbers = {key: None if section.get(key) is None
+               else _float(section[key], f"{context}.{key}")
+               for key in ("hurst", "theta", "t0")}
+    return CopulaModel(variant=variant, mixing=mixing, **numbers)
 
 
-def _parse_seed(cfg, context="") -> int:
-    seed = _require(cfg, "seed", context)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise InvalidArgumentError("seed must be a nonnegative integer")
-    return seed
-
-
-def _parse_n_paths(cfg, context="") -> int:
-    n = _require(cfg, "n_paths", context)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidArgumentError("n_paths must be a positive integer")
-    return n
+def _sample(cfg, grid, context=""):
+    """Sample the model and n_paths of cfg, or of its ``context`` block,
+    on grid at the config seed."""
+    section, prefix = (cfg[context], f"{context}.") if context else (cfg, "")
+    model = _parse_model(_require(section, "model", context), prefix + "model")
+    n_paths = _int(_require(section, "n_paths", context), prefix + "n_paths", 1)
+    seed = _int(_require(cfg, "seed", ""), "seed", 0)
+    return model.sample(grid, n_paths, seed)
 
 
 def _run_simulate(cfg, outdir):
     _check_keys(cfg, ("grid", "model", "family", "n_paths", "seed"), "")
     grid = _parse_grid(_require(cfg, "grid", ""))
-    model = _parse_model(_require(cfg, "model", ""))
-    n_paths = _parse_n_paths(cfg)
-    seed = _parse_seed(cfg)
-    copula = model.sample(grid, n_paths, seed)
+    copula = _sample(cfg, grid)
+    family = _parse_family(cfg["family"]) if "family" in cfg else None
     ks_p = [float(stats.kstest(copula.paths[:, j], "uniform").pvalue)
             for j in range(grid.m)]
-    if "family" in cfg:
-        family = _parse_family(cfg["family"])
-        ensemble = merge(copula, family)
-        paths = ensemble.paths
-        marginal = family.kind
-    else:
-        paths = copula.paths
-        marginal = None
+    paths = copula.paths if family is None else merge(copula, family).paths
     write_matrix_csv(os.path.join(outdir, "ensemble.csv"), grid.points, paths)
     extras = {
         "model": copula.model_tag,
-        "marginal": marginal,
+        "marginal": None if family is None else family.kind,
         "grid": {"a": grid.a, "b": grid.b, "m": grid.m},
-        "n_paths": n_paths,
+        "n_paths": copula.n_paths,
         "column_ks_p": ks_p,
     }
     return extras, ["ensemble.csv"]
@@ -182,12 +182,8 @@ def _run_wasserstein(cfg, outdir):
     family_b = _parse_family(_require(cfg, "family_b", ""), "family_b")
     report = pathspace_wasserstein_same_copula(family_a, family_b, grid, p)
     if "mc" in cfg:
-        mc = cfg["mc"]
-        _check_keys(mc, ("model", "n_paths"), "mc")
-        model = _parse_model(_require(mc, "model", "mc"), "mc.model")
-        n_paths = _parse_n_paths(mc, "mc")
-        seed = _parse_seed(cfg)
-        copula = model.sample(grid, n_paths, seed)
+        _check_keys(cfg["mc"], ("model", "n_paths"), "mc")
+        copula = _sample(cfg, grid, "mc")
         report = attach_mc_check(report, merge(copula, family_a),
                                  merge(copula, family_b))
     write_json(os.path.join(outdir, "report.json"), report)
@@ -196,31 +192,20 @@ def _run_wasserstein(cfg, outdir):
     return {}, ["report.json", "per_t.csv"]
 
 
+#: robustness config key -> coercion into its ExperimentConfig field
+_ROBUSTNESS_KEYS = {
+    "a": _float, "b": _float, "m": _int, "n_paths": _int, "seed": _int,
+    "hurst": _float, "mixing": _parse_mixing, "x_min": _float, "alpha": _float,
+    "gamma": _float, "n_keep": lambda value, where: tuple(_int_list(value, where)),
+    "marginal_mode": lambda value, where: value, "p": _int, "epsilon": _float,
+    "q": _float, "beta": _float,
+}
+
+
 def _run_robustness(cfg, outdir):
-    allowed = ("a", "b", "m", "n_paths", "seed", "hurst", "mixing", "x_min",
-               "alpha", "gamma", "n_keep", "marginal_mode", "p", "epsilon",
-               "q", "beta")
-    _check_keys(cfg, allowed, "")
-    kwargs = {}
-    for key in allowed:
-        if key not in cfg:
-            continue
-        if key == "mixing":
-            kwargs[key] = _parse_mixing(cfg[key])
-        elif key == "n_keep":
-            value = cfg[key]
-            if not isinstance(value, list) or not all(
-                    isinstance(k, int) and not isinstance(k, bool) for k in value):
-                raise InvalidArgumentError("n_keep must be a list of integers")
-            kwargs[key] = tuple(value)
-        elif key in ("m", "n_paths", "seed", "p"):
-            if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
-                raise InvalidArgumentError(f"config key {key} must be an integer")
-            kwargs[key] = cfg[key]
-        elif key == "marginal_mode":
-            kwargs[key] = cfg[key]
-        else:
-            kwargs[key] = float(cfg[key])
+    _check_keys(cfg, _ROBUSTNESS_KEYS, "")
+    kwargs = {key: parse(cfg[key], key) for key, parse in _ROBUSTNESS_KEYS.items()
+              if key in cfg}
     report = pareto_elliptical_experiment(ExperimentConfig(**kwargs))
     write_json(os.path.join(outdir, "report.json"), report)
     header = ("n_keep", "lhs", "marginal_term", "copula_term", "K", "rho",
@@ -233,19 +218,14 @@ def _run_robustness(cfg, outdir):
 def _run_klexpand(cfg, outdir):
     _check_keys(cfg, ("grid", "model", "family", "n_paths", "seed", "n_keep"), "")
     grid = _parse_grid(_require(cfg, "grid", ""))
-    model = _parse_model(_require(cfg, "model", ""))
-    n_paths = _parse_n_paths(cfg)
-    seed = _parse_seed(cfg)
-    copula = model.sample(grid, n_paths, seed)
-    if "family" in cfg:
-        ensemble = merge(copula, _parse_family(cfg["family"]))
-    else:
+    copula = _sample(cfg, grid)
+    family = _parse_family(cfg["family"]) if "family" in cfg else None
+    if family is None:
         ensemble = ProcessEnsemble(grid, copula.paths, "uniform", copula.model_tag)
+    else:
+        ensemble = merge(copula, family)
     decomposition = kl_from_ensemble(ensemble)
-    n_keep = cfg.get("n_keep", [])
-    if not isinstance(n_keep, list) or not all(
-            isinstance(k, int) and not isinstance(k, bool) for k in n_keep):
-        raise InvalidArgumentError("n_keep must be a list of integers")
+    n_keep = _int_list(cfg.get("n_keep", []), "n_keep")
     tails = {str(k): tail_energy(decomposition, k) for k in n_keep}
     report = {
         "eigenvalues": decomposition.eigenvalues,
@@ -267,42 +247,37 @@ def _run_check(cfg, outdir):
     grid = _parse_grid(_require(cfg, "grid", ""))
     family = _parse_family(_require(cfg, "family", ""))
     if mode == "moment":
-        p = _require(cfg, "p", "")
-        report = check_moment_condition(family, grid, float(p))
-        write_json(os.path.join(outdir, "report.json"), report)
-        return {}, ["report.json"]
-    if mode == "assumption":
+        report = check_moment_condition(family, grid, _float(_require(cfg, "p", ""), "p"))
+    elif mode == "assumption":
         section = cfg.get("params", {})
         _check_keys(section, ("p", "epsilon", "q", "beta", "x0"), "params")
-        common = {
-            "p": section.get("p", 1),
-            "epsilon": float(section.get("epsilon", 1.0)),
-            "q": float(section.get("q", 2.0)),
-        }
+        common = {key: _float(section[key], f"params.{key}")
+                  for key in ("epsilon", "q", "beta", "x0") if key in section}
+        common["p"] = section.get("p", 1)
         if isinstance(family, Pareto):
-            params = pareto_minorant_params(
-                family, grid, x0=float(section.get("x0", 0.0)),
-                beta=float(section.get("beta", 2.0 / 3.0)), **common)
+            params = pareto_minorant_params(family, grid, **common)
         elif isinstance(family, GaussianScale):
             if "x0" in section:
                 raise InvalidArgumentError("params.x0 applies to pareto only")
-            params = gaussian_minorant_params(
-                family, grid, beta=float(section.get("beta", 0.5)), **common)
+            params = gaussian_minorant_params(family, grid, **common)
         else:
             raise InvalidArgumentError(
                 "assumption mode supports pareto and gaussian_scale families")
         report = check_assumption(family, params, grid)
-        write_json(os.path.join(outdir, "report.json"), report)
-        return {}, ["report.json"]
-    raise InvalidArgumentError(f"mode must be 'moment' or 'assumption', got {mode!r}")
+    else:
+        raise InvalidArgumentError(f"mode must be 'moment' or 'assumption', got {mode!r}")
+    write_json(os.path.join(outdir, "report.json"), report)
+    return {}, ["report.json"]
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "wasserstein": _run_wasserstein,
-    "robustness": _run_robustness,
-    "klexpand": _run_klexpand,
-    "check": _run_check,
+#: subcommand -> (runner, help text)
+_COMMANDS = {
+    "simulate": (_run_simulate, "sample a copula model and optionally merge marginals"),
+    "wasserstein": (_run_wasserstein,
+                    "path-space Wasserstein distance between marginal families"),
+    "robustness": (_run_robustness, "Pareto-on-elliptical truncation experiment"),
+    "klexpand": (_run_klexpand, "empirical covariance eigendecomposition"),
+    "check": (_run_check, "moment and minorant-assumption diagnostics"),
 }
 
 
@@ -312,15 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Copula-process sampling, transport distances, and "
                     "robustness bound evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "sample a copula model and optionally merge marginals",
-        "wasserstein": "path-space Wasserstein distance between marginal families",
-        "robustness": "Pareto-on-elliptical truncation experiment",
-        "klexpand": "empirical covariance eigendecomposition",
-        "check": "moment and minorant-assumption diagnostics",
-    }
-    for name in _RUNNERS:
-        cmd = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config's master seed (u64)")
@@ -354,7 +322,7 @@ def main(argv=None) -> int:
                 raise InvalidArgumentError(f"--seed out of u64 range: {args.seed}")
             cfg["seed"] = args.seed
         os.makedirs(args.out, exist_ok=True)
-        extras, files = _RUNNERS[args.command](cfg, args.out)
+        extras, files = _COMMANDS[args.command][0](cfg, args.out)
         manifest = {
             "command": args.command,
             "config_echo": cfg,

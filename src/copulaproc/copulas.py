@@ -82,13 +82,6 @@ def cholesky_with_jitter(matrix: np.ndarray):
         f"Cholesky failed after jitter escalation up to {jitters[-1]:g}")
 
 
-def _check_common(grid: TimeGrid, n_paths: int, seed: int) -> int:
-    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
-        raise InvalidArgumentError(f"n_paths must be a positive integer, got {n_paths!r}")
-    rng._check_seed(seed)
-    return int(n_paths)
-
-
 def _check_hurst(hurst: float) -> float:
     hurst = float(hurst)
     if not 0.0 < hurst < 1.0:
@@ -96,16 +89,23 @@ def _check_hurst(hurst: float) -> float:
     return hurst
 
 
+def _check_gaussian_args(grid: TimeGrid, hurst: float, variant: str) -> float:
+    """Checks shared by the fbm and elliptical samplers; returns hurst."""
+    hurst = _check_hurst(hurst)
+    if grid.a <= 0.0:
+        raise InvalidArgumentError(
+            f"{variant} copula needs grid.a > 0, got a={grid.a}")
+    return hurst
+
+
 def sample_independence(grid: TimeGrid, n_paths: int, seed: int) -> CopulaEnsemble:
     """All columns independent Uniform[0, 1]."""
-    n_paths = _check_common(grid, n_paths, seed)
     paths = rng.uniform_rows(seed, n_paths, grid.m)
     return CopulaEnsemble(grid, paths, int(seed), "independence")
 
 
 def sample_comonotone(grid: TimeGrid, n_paths: int, seed: int) -> CopulaEnsemble:
     """One uniform per path repeated across all columns."""
-    n_paths = _check_common(grid, n_paths, seed)
     u = rng.uniform_rows(seed, n_paths, 1)
     paths = np.repeat(u, grid.m, axis=1)
     return CopulaEnsemble(grid, paths, int(seed), "comonotone")
@@ -119,11 +119,7 @@ def sample_fbm_copula(grid: TimeGrid, hurst: float, n_paths: int,
     Gaussian paths are mapped through their exact marginal CDF with
     standard deviation t**hurst.
     """
-    n_paths = _check_common(grid, n_paths, seed)
-    hurst = _check_hurst(hurst)
-    if grid.a <= 0.0:
-        raise InvalidArgumentError(
-            f"fbm copula needs grid.a > 0, got a={grid.a}")
+    hurst = _check_gaussian_args(grid, hurst, "fbm")
     cov = fbm_covariance(grid.points, hurst)
     factor, _ = cholesky_with_jitter(cov)
     z = rng.normal_rows(seed, n_paths, grid.m)
@@ -132,41 +128,35 @@ def sample_fbm_copula(grid: TimeGrid, hurst: float, n_paths: int,
     return CopulaEnsemble(grid, paths, int(seed), f"fbm(hurst={hurst:g})")
 
 
-def _elliptical_pretransform(grid: TimeGrid, hurst: float, mixing: LognormalMixing,
-                             n_paths: int, seed: int):
+def elliptical_pretransform(grid: TimeGrid, hurst: float, mixing: LognormalMixing,
+                            n_paths: int, seed: int):
     """Draw S_i * V_i paths and the matching mixture marginal family.
 
     V is the unit-variance Gaussian process with the fBm correlation
     R(s, t) = cov(s, t) / (s t)**hurst.  Each path consumes one uniform
     (for S through the mixing quantile) followed by m standard normals.
     """
-    n_paths = _check_common(grid, n_paths, seed)
-    hurst = _check_hurst(hurst)
-    if grid.a <= 0.0:
-        raise InvalidArgumentError(
-            f"elliptical copula needs grid.a > 0, got a={grid.a}")
-    if not (np.isfinite(mixing.mean_inverse) and np.isfinite(mixing.mean_square)):
-        raise InvalidArgumentError("mixing must have finite E[1/S] and E[S**2]")
+    hurst = _check_gaussian_args(grid, hurst, "elliptical")
+    family = ScaleMixtureGaussian(mixing)  # rejects mixings without E[1/S], E[S**2]
     scale = grid.points ** hurst
     corr = fbm_covariance(grid.points, hurst) / np.outer(scale, scale)
     factor, _ = cholesky_with_jitter(corr)
-    m = grid.m
-    paths = np.empty((n_paths, m))
-    mix_u = np.empty(n_paths)
-    for i in range(n_paths):
-        gen = rng.path_generator(seed, i)
-        mix_u[i] = gen.random()
-        paths[i] = factor @ gen.standard_normal(m)
+    mix_u = []
+
+    def draw(gen):
+        mix_u.append(gen.random())
+        return factor @ gen.standard_normal(grid.m)
+
+    paths = rng.path_rows(seed, n_paths, grid.m, draw)
     s = np.asarray(mixing.quantile(np.clip(mix_u, 1e-16, 1.0 - 1e-16)), dtype=float)
     paths *= s[:, None]
-    family = ScaleMixtureGaussian(mixing)
     return paths, family
 
 
 def sample_elliptical_copula(grid: TimeGrid, hurst: float, mixing: LognormalMixing,
                              n_paths: int, seed: int) -> CopulaEnsemble:
-    """Copula of the scale mixture S * V (see _elliptical_pretransform)."""
-    pre, family = _elliptical_pretransform(grid, hurst, mixing, n_paths, seed)
+    """Copula of the scale mixture S * V (see elliptical_pretransform)."""
+    pre, family = elliptical_pretransform(grid, hurst, mixing, n_paths, seed)
     paths = family._cdf0(pre)
     return CopulaEnsemble(grid, paths, int(seed),
                           f"elliptical(hurst={float(hurst):g},{mixing.tag})")
@@ -181,19 +171,18 @@ def sample_archimedean_clayton(grid: TimeGrid, theta: float, n_paths: int,
     is phi(x) = x**-theta - 1: the marginal CDF is the Laplace transform
     (1 + s)**(-1/theta) of M evaluated at phi(u), which returns u.
     """
-    n_paths = _check_common(grid, n_paths, seed)
     theta = float(theta)
     if not np.isfinite(theta) or theta <= 0.0:
         raise InvalidArgumentError(f"theta must be positive, got {theta}")
     m = grid.m
-    paths = np.empty((n_paths, m))
-    for i in range(n_paths):
-        gen = rng.path_generator(seed, i)
+
+    def draw(gen):
         frailty = gen.standard_gamma(1.0 / theta)
         while frailty == 0.0:  # guard against underflow for large theta
             frailty = gen.standard_gamma(1.0 / theta)
-        exps = gen.standard_exponential(m)
-        paths[i] = (1.0 + exps / frailty) ** (-1.0 / theta)
+        return (1.0 + gen.standard_exponential(m) / frailty) ** (-1.0 / theta)
+
+    paths = rng.path_rows(seed, n_paths, m, draw)
     return CopulaEnsemble(grid, paths, int(seed), f"clayton(theta={theta:g})")
 
 
@@ -222,12 +211,10 @@ class CopulaModel:
     mixing: LognormalMixing | None = None
     t0: float | None = None
 
-    _VARIANTS = ("independence", "comonotone", "fbm", "elliptical", "clayton")
-
     def __post_init__(self):
-        if self.variant not in self._VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in _SAMPLERS:
             raise InvalidArgumentError(
-                f"unknown copula variant {self.variant!r}; expected one of {self._VARIANTS}")
+                f"unknown copula variant {self.variant!r}; expected one of {tuple(_SAMPLERS)}")
         if self.variant in ("fbm", "elliptical"):
             if self.hurst is None:
                 raise InvalidArgumentError(f"{self.variant} model requires hurst")
@@ -241,13 +228,17 @@ class CopulaModel:
         if self.t0 is not None and grid.a < self.t0:
             raise InvalidArgumentError(
                 f"grid must start at or after t0={self.t0}, got a={grid.a}")
-        if self.variant == "independence":
-            return sample_independence(grid, n_paths, seed)
-        if self.variant == "comonotone":
-            return sample_comonotone(grid, n_paths, seed)
-        if self.variant == "fbm":
-            return sample_fbm_copula(grid, self.hurst, n_paths, seed)
-        if self.variant == "elliptical":
-            mixing = self.mixing if self.mixing is not None else LognormalMixing()
-            return sample_elliptical_copula(grid, self.hurst, mixing, n_paths, seed)
-        return sample_archimedean_clayton(grid, self.theta, n_paths, seed)
+        return _SAMPLERS[self.variant](self, grid, n_paths, seed)
+
+
+#: variant -> sampler call; the keys are the valid ``CopulaModel`` variants
+_SAMPLERS = {
+    "independence": lambda model, grid, n, seed: sample_independence(grid, n, seed),
+    "comonotone": lambda model, grid, n, seed: sample_comonotone(grid, n, seed),
+    "fbm": lambda model, grid, n, seed: sample_fbm_copula(grid, model.hurst, n, seed),
+    "elliptical": lambda model, grid, n, seed: sample_elliptical_copula(
+        grid, model.hurst,
+        model.mixing if model.mixing is not None else LognormalMixing(), n, seed),
+    "clayton": lambda model, grid, n, seed: sample_archimedean_clayton(
+        grid, model.theta, n, seed),
+}

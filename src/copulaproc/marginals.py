@@ -23,22 +23,35 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .errors import (InvalidArgumentError, NumericFailureError,
-                     UnsupportedOperationError)
+from .errors import InvalidArgumentError, UnsupportedOperationError
 from .grid import TimeGrid, grid_from_points
+from .serialize import write_matrix_csv
 
 _DEFAULT_TAIL_EPS = 1e-12
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
-def _as_time_fn(value, name: str):
-    """Lift a constant to a function of t; pass callables through."""
-    if callable(value):
-        return value
-    value = float(value)
-    if not np.isfinite(value):
-        raise InvalidArgumentError(f"{name} must be finite, got {value}")
-    return lambda t: value
+def _as_time_fn(value, name: str, lower: float = -np.inf, strict: bool = False):
+    """Lift a constant to a function of t that validates what it returns.
+
+    Each value must be finite and at least ``lower`` (above it when
+    ``strict``).  A non-finite constant is rejected at once; other bounds
+    are checked at evaluation, since parameters may be callables.
+    """
+    if not callable(value):
+        const = float(value)
+        if not np.isfinite(const):
+            raise InvalidArgumentError(f"{name} must be finite, got {value}")
+        value = lambda t: const
+
+    def checked(t):
+        v = float(value(t))
+        if not (np.isfinite(v) and (v > lower if strict else v >= lower)):
+            raise InvalidArgumentError(
+                f"{name}({t}) = {v} must be finite and {'>' if strict else '>='} {lower:g}")
+        return v
+
+    return checked
 
 
 def _check_unit(values, name: str) -> np.ndarray:
@@ -59,6 +72,10 @@ class MarginalFamily:
     """Base class; concrete families implement the `_*` hooks."""
 
     kind: str = "abstract"
+    #: constructor keywords a config may set, for ``FAMILY_KINDS`` members
+    config_keys: tuple = ()
+    #: the scale keyword that a config's ``power_law_hurst`` replaces
+    power_law_key: str | None = None
     has_density: bool = False
     is_continuous: bool = False
 
@@ -88,18 +105,18 @@ class MarginalFamily:
         raise NotImplementedError
 
     # ----- public surface ------------------------------------------------
-    def cdf(self, t, x):
+    def _evaluate(self, hook, t, x):
         arr = np.asarray(x, dtype=float)
         if np.isnan(arr).any():
-            raise InvalidArgumentError("cdf argument contains NaN")
-        return _match(x, self._cdf(float(t), np.atleast_1d(arr)))
+            raise InvalidArgumentError(f"{hook.__name__[1:]} argument contains NaN")
+        return _match(x, hook(float(t), np.atleast_1d(arr)))
+
+    def cdf(self, t, x):
+        return self._evaluate(self._cdf, t, x)
 
     def cdf_left(self, t, x):
         """Left limit F_t(x-)."""
-        arr = np.asarray(x, dtype=float)
-        if np.isnan(arr).any():
-            raise InvalidArgumentError("cdf argument contains NaN")
-        return _match(x, self._cdf_left(float(t), np.atleast_1d(arr)))
+        return self._evaluate(self._cdf_left, t, x)
 
     def quantile(self, t, u):
         arr = np.atleast_1d(_check_unit(u, "u"))
@@ -129,10 +146,7 @@ class MarginalFamily:
         return self._quantile(float(t), u, cu)
 
     def pdf(self, t, x):
-        arr = np.asarray(x, dtype=float)
-        if np.isnan(arr).any():
-            raise InvalidArgumentError("pdf argument contains NaN")
-        return _match(x, self._pdf(float(t), np.atleast_1d(arr)))
+        return self._evaluate(self._pdf, t, x)
 
     def distributional_transform(self, t, x, v):
         """F_t(x-) + v * (F_t(x) - F_t(x-)); exact uniformizer at atoms."""
@@ -163,36 +177,32 @@ class GaussianScale(MarginalFamily):
     """
 
     kind = "gaussian_scale"
+    config_keys = ("sigma", "mean")
+    power_law_key = "sigma"
     has_density = True
     is_continuous = True
 
     def __init__(self, sigma=1.0, mean=0.0, tail_eps: float = _DEFAULT_TAIL_EPS):
         super().__init__(tail_eps)
-        self._sigma_fn = _as_time_fn(sigma, "sigma")
-        self._mean_fn = _as_time_fn(mean, "mean")
+        self._sigma = _as_time_fn(sigma, "sigma", 0.0)
+        self._mean = _as_time_fn(mean, "mean")
 
     @classmethod
-    def power_law(cls, hurst: float, tail_eps: float = _DEFAULT_TAIL_EPS):
+    def power_law(cls, hurst: float, mean=0.0, tail_eps: float = _DEFAULT_TAIL_EPS):
         """sigma_t = t**hurst preset."""
         h = float(hurst)
-        return cls(sigma=lambda t: t ** h, tail_eps=tail_eps)
-
-    def _sigma(self, t: float) -> float:
-        s = float(self._sigma_fn(t))
-        if not np.isfinite(s) or s < 0.0:
-            raise InvalidArgumentError(f"sigma({t}) = {s} must be finite and >= 0")
-        return s
+        return cls(sigma=lambda t: t ** h, mean=mean, tail_eps=tail_eps)
 
     def _cdf(self, t, x):
         s = self._sigma(t)
-        mu = float(self._mean_fn(t))
+        mu = self._mean(t)
         if s == 0.0:
             return (x >= mu).astype(float)
         return ndtr((x - mu) / s)
 
     def _quantile(self, t, u, cu):
         s = self._sigma(t)
-        mu = float(self._mean_fn(t))
+        mu = self._mean(t)
         if s == 0.0:
             return np.full_like(u, mu)
         # complement form keeps the upper tail accurate
@@ -203,13 +213,13 @@ class GaussianScale(MarginalFamily):
         s = self._sigma(t)
         if s == 0.0:
             raise UnsupportedOperationError(f"degenerate gaussian at t={t} has no density")
-        mu = float(self._mean_fn(t))
+        mu = self._mean(t)
         z = (x - mu) / s
         return np.exp(-0.5 * z * z) / (_SQRT_2PI * s)
 
     def support(self, t):
         if self._sigma(float(t)) == 0.0:
-            mu = float(self._mean_fn(float(t)))
+            mu = self._mean(float(t))
             return mu, mu
         return -np.inf, np.inf
 
@@ -228,23 +238,19 @@ class ExponentialScale(MarginalFamily):
     """
 
     kind = "exponential_scale"
+    config_keys = ("scale",)
+    power_law_key = "scale"
     has_density = True
     is_continuous = True
 
     def __init__(self, scale=1.0, tail_eps: float = _DEFAULT_TAIL_EPS):
         super().__init__(tail_eps)
-        self._scale_fn = _as_time_fn(scale, "scale")
+        self._theta = _as_time_fn(scale, "scale", 0.0)
 
     @classmethod
     def power_law(cls, hurst: float, tail_eps: float = _DEFAULT_TAIL_EPS):
         h = float(hurst)
         return cls(scale=lambda t: t ** h, tail_eps=tail_eps)
-
-    def _theta(self, t: float) -> float:
-        s = float(self._scale_fn(t))
-        if not np.isfinite(s) or s < 0.0:
-            raise InvalidArgumentError(f"scale({t}) = {s} must be finite and >= 0")
-        return s
 
     def _cdf(self, t, x):
         th = self._theta(t)
@@ -281,6 +287,7 @@ class Pareto(MarginalFamily):
     """
 
     kind = "pareto"
+    config_keys = ("x_min", "alpha")
     has_density = True
     is_continuous = True
 
@@ -289,13 +296,7 @@ class Pareto(MarginalFamily):
         self.x_min = float(x_min)
         if not np.isfinite(self.x_min) or self.x_min <= 0.0:
             raise InvalidArgumentError(f"x_min must be positive, got {x_min}")
-        self._alpha_fn = _as_time_fn(alpha, "alpha")
-
-    def _alpha(self, t: float) -> float:
-        a = float(self._alpha_fn(t))
-        if not np.isfinite(a) or a <= 0.0:
-            raise InvalidArgumentError(f"alpha({t}) = {a} must be positive")
-        return a
+        self._alpha = _as_time_fn(alpha, "alpha", 0.0, strict=True)
 
     def _cdf(self, t, x):
         a = self._alpha(t)
@@ -324,6 +325,7 @@ class Uniform(MarginalFamily):
     """Uniform law on [lo, hi]; on [0, 1] the quantile is the exact identity."""
 
     kind = "uniform"
+    config_keys = ("lo", "hi")
     has_density = True
     is_continuous = True
 
@@ -397,6 +399,7 @@ class ScaleMixtureGaussian(MarginalFamily):
     """
 
     kind = "scale_mixture_gaussian"
+    config_keys = ("mixing", "scale")
     has_density = True
     is_continuous = True
 
@@ -410,7 +413,7 @@ class ScaleMixtureGaussian(MarginalFamily):
                 "mixing must have finite E[1/S] and E[S**2]")
         self.mixing = mixing
         self.n_quad = int(n_quad)
-        self._scale_fn = _as_time_fn(scale, "scale")
+        self._scale = _as_time_fn(scale, "scale", 0.0, strict=True)
         nodes, weights = roots_legendre(self.n_quad)
         self._mix_u = 0.5 * (nodes + 1.0)
         self._mix_w = 0.5 * weights
@@ -420,37 +423,28 @@ class ScaleMixtureGaussian(MarginalFamily):
         self._table = None
         self._q0_memo = {}
 
-    def _scale(self, t: float) -> float:
-        c = float(self._scale_fn(t))
-        if not np.isfinite(c) or c <= 0.0:
-            raise InvalidArgumentError(f"scale({t}) = {c} must be positive")
-        return c
-
     # ----- unit-scale mixture functions ---------------------------------
-    def _f0_block(self, z: np.ndarray, func) -> np.ndarray:
-        out = np.empty_like(z)
+    def _f0_block(self, z, func) -> np.ndarray:
+        """Mixture average of func(z / s) over the quadrature scales s."""
+        z = np.asarray(z, dtype=float)
+        flat = z.ravel()
+        out = np.empty_like(flat)
         step = 65536
-        for start in range(0, z.size, step):
-            block = z[start:start + step, None] / self._mix_s[None, :]
+        for start in range(0, flat.size, step):
+            block = flat[start:start + step, None] / self._mix_s[None, :]
             out[start:start + step] = func(block) @ self._mix_w
-        return out
+        return out.reshape(z.shape)
 
     def _cdf0(self, z: np.ndarray) -> np.ndarray:
-        return self._f0_block(np.asarray(z, dtype=float).ravel(), ndtr).reshape(np.shape(z))
+        return self._f0_block(z, ndtr)
 
     def _sf0(self, z: np.ndarray) -> np.ndarray:
         """Survival function 1 - F0 without cancellation."""
         return self._cdf0(-np.asarray(z, dtype=float))
 
     def _pdf0(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float).ravel()
-        out = np.empty_like(z)
-        step = 65536
-        for start in range(0, z.size, step):
-            block = z[start:start + step, None] / self._mix_s[None, :]
-            dens = np.exp(-0.5 * block * block) / (_SQRT_2PI * self._mix_s[None, :])
-            out[start:start + step] = dens @ self._mix_w
-        return out.reshape(np.shape(z))
+        return self._f0_block(z, lambda block: np.exp(-0.5 * block * block)
+                              / (_SQRT_2PI * self._mix_s[None, :]))
 
     def _quantile_table(self):
         if self._table is None:
@@ -571,13 +565,7 @@ def empirical_family_to_csv(family: Empirical, path) -> None:
     """One column per grid point; the header row holds the grid times."""
     if not isinstance(family, Empirical):
         raise InvalidArgumentError("only empirical families serialize to CSV")
-    header = ",".join(f"{t:.17g}" for t in family.grid.points)
-    body = family._columns.T  # rows = sample index, columns = grid points
-    lines = [header]
-    for row in body:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_matrix_csv(path, family.grid.points, family._columns.T)
 
 
 def empirical_family_from_csv(path) -> Empirical:
@@ -591,3 +579,8 @@ def empirical_family_from_csv(path) -> Empirical:
     if rows.shape[1] != times.size:
         raise InvalidArgumentError(f"{path}: inconsistent column count")
     return Empirical(grid_from_points(times), rows.T)
+
+
+#: config ``kind`` tag -> family class, for every family a config can build
+FAMILY_KINDS = {cls.kind: cls for cls in (GaussianScale, ExponentialScale, Pareto,
+                                          Uniform, ScaleMixtureGaussian)}

@@ -37,23 +37,27 @@ def path_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def uniform_rows(seed: int, n_paths: int, n_cols: int) -> np.ndarray:
-    """(n_paths, n_cols) uniforms; row i comes from substream (seed, i)."""
+def path_rows(seed: int, n_paths: int, n_cols: int, draw) -> np.ndarray:
+    """(n_paths, n_cols) array whose row i is ``draw(path_generator(seed, i))``.
+
+    ``draw`` receives the path's generator and returns the row's n_cols
+    values; this is the single per-path loop behind every sampler.
+    """
     _check_seed(seed)
-    if n_paths < 1 or n_cols < 1:
-        raise InvalidArgumentError("n_paths and n_cols must be positive")
+    for name, n in (("n_paths", n_paths), ("n_cols", n_cols)):
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
     out = np.empty((n_paths, n_cols))
     for i in range(n_paths):
-        out[i] = path_generator(seed, i).random(n_cols)
+        out[i] = draw(path_generator(seed, i))
     return out
+
+
+def uniform_rows(seed: int, n_paths: int, n_cols: int) -> np.ndarray:
+    """(n_paths, n_cols) uniforms; row i comes from substream (seed, i)."""
+    return path_rows(seed, n_paths, n_cols, lambda gen: gen.random(n_cols))
 
 
 def normal_rows(seed: int, n_paths: int, n_cols: int) -> np.ndarray:
     """(n_paths, n_cols) standard normals; row i from substream (seed, i)."""
-    _check_seed(seed)
-    if n_paths < 1 or n_cols < 1:
-        raise InvalidArgumentError("n_paths and n_cols must be positive")
-    out = np.empty((n_paths, n_cols))
-    for i in range(n_paths):
-        out[i] = path_generator(seed, i).standard_normal(n_cols)
-    return out
+    return path_rows(seed, n_paths, n_cols, lambda gen: gen.standard_normal(n_cols))

@@ -26,14 +26,13 @@ diverge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quadrature import IntegralCache, probed_unit_integral
-from .copulas import _elliptical_pretransform
+from ._quadrature import per_time_integrals, probed_unit_integral
+from .copulas import elliptical_pretransform
 from .errors import (AssumptionViolatedError, InvalidArgumentError,
                      NumericFailureError)
 from .grid import TimeGrid, integrate, make_uniform_grid
@@ -41,7 +40,7 @@ from .kl import kl_from_ensemble, tail_energy, truncate
 from .marginals import (GaussianScale, LognormalMixing, MarginalFamily,
                         Pareto, empirical_family_from_ensemble)
 from .sklar import ProcessEnsemble, extract_copula, merge
-from .transport import pathspace_wasserstein_same_copula
+from .transport import mc_coupling_cost, pathspace_wasserstein_same_copula
 
 #: endpoint cut for robustness quadratures; the complement form keeps
 #: quantiles stable this deep, and power tails integrable by assumption
@@ -105,14 +104,13 @@ def gaussian_minorant_params(family: GaussianScale, grid: TimeGrid, p: int = 1,
     """Take g = f itself: valid for Gaussian scales with a zero window."""
     if not isinstance(family, GaussianScale):
         raise InvalidArgumentError("gaussian preset requires a GaussianScale family")
-    modes = np.array([float(family._mean_fn(t)) for t in grid.points])
+    modes = np.array([family._mean(t) for t in grid.points])
     peak = np.array([float(family.pdf(t, mu)) for t, mu in zip(grid.points, modes)])
-    mean_fn = family._mean_fn
     return RobustnessParams(
         p=p, epsilon=epsilon, q=q, beta=beta,
         lambda_floor=float(peak.min()),
         minorant=lambda t, x: family.pdf(t, x),
-        center=lambda t: float(mean_fn(t)),
+        center=family._mean,
         halfwidth=lambda t: 0.0,
         minorant_tag="gaussian-density")
 
@@ -158,35 +156,22 @@ def pareto_minorant_params(family: Pareto, grid: TimeGrid, x0: float = 0.0,
         minorant_tag=f"pareto-piecewise(x0={x0:g})")
 
 
-def _tail_integrand_per_t(family: MarginalFamily, params: RobustnessParams,
-                          t: float):
-    beta = params.beta
-
-    def integrand(u, cu):
-        x = family.quantile_tail(t, u, cu)
-        g = np.asarray(params.minorant(t, x), dtype=float)
-        if np.any(g <= 0.0):
-            raise AssumptionViolatedError(
-                f"minorant vanishes on the support at t={t}")
-        return g ** (-beta)
-
-    return integrand
-
-
 def _tail_integral(family: MarginalFamily, params: RobustnessParams,
                    grid: TimeGrid):
     """int_T E[g_t(Y_t)**(-beta)] dt, or +inf when any time diverges."""
-    per_t = np.empty(grid.m)
-    cache = IntegralCache(_ROBUST_DELTA)
-    for j, t in enumerate(grid.points):
-        integrand = _tail_integrand_per_t(family, params, t)
-        hit = cache.get(integrand)
-        value, divergent = hit if hit is not None else cache.put(
-            probed_unit_integral(integrand, _ROBUST_DELTA))
-        if divergent:
-            return float("inf")
-        per_t[j] = value
-    return integrate(grid, per_t)
+    def integrand_at(t):
+        def integrand(u, cu):
+            x = family.quantile_tail(t, u, cu)
+            g = np.asarray(params.minorant(t, x), dtype=float)
+            if np.any(g <= 0.0):
+                raise AssumptionViolatedError(
+                    f"minorant vanishes on the support at t={t}")
+            return g ** (-params.beta)
+        return integrand
+
+    per_t = per_time_integrals(grid.points, integrand_at, probed_unit_integral,
+                               _ROBUST_DELTA)
+    return float("inf") if per_t is None else integrate(grid, per_t)
 
 
 @dataclass(frozen=True)
@@ -232,18 +217,13 @@ def check_assumption(family_y: MarginalFamily, params: RobustnessParams,
                 if np.any(gw < params.lambda_floor * (1.0 - 1e-9)):
                     floor_ok = False
         tol = 1e-12 * scale
-        right_lo = max(m_t + x0_t, float(x[0]))
-        if right_lo < float(x[-1]):
-            xs = np.linspace(right_lo, float(x[-1]), 101)
-            gv = np.asarray(params.minorant(t, xs), dtype=float)
-            if np.any(np.diff(gv) > tol):
-                monotone_ok = False
-        left_hi = min(m_t - x0_t, float(x[-1]))
-        if left_hi > float(x[0]):
-            xs = np.linspace(float(x[0]), left_hi, 101)
-            gv = np.asarray(params.minorant(t, xs), dtype=float)
-            if np.any(np.diff(gv) < -tol):
-                monotone_ok = False
+        # nonincreasing right of the window, nondecreasing left of it
+        for lo, hi, sign in ((max(m_t + x0_t, float(x[0])), float(x[-1]), 1.0),
+                             (float(x[0]), min(m_t - x0_t, float(x[-1])), -1.0)):
+            if lo < hi:
+                gv = np.asarray(params.minorant(t, np.linspace(lo, hi, 101)), dtype=float)
+                if np.any(sign * np.diff(gv) > tol):
+                    monotone_ok = False
     tail = _tail_integral(family_y, params, grid)
     return AssumptionReport(minorant_ok=minorant_ok, floor_ok=floor_ok,
                             monotone_ok=monotone_ok, tail_integral=float(tail))
@@ -265,19 +245,15 @@ def constant_K(params: RobustnessParams, family_y: MarginalFamily,
         raise AssumptionViolatedError(
             "minorant tail integral diverges; the bound constant is undefined")
     exponent = params.p + params.epsilon
-    per_t = np.empty(grid.m)
-    cache = IntegralCache(_ROBUST_DELTA)
-    for j, t in enumerate(grid.points):
-        def integrand(u, cu, _t=t):
-            return np.abs(family_y.quantile_tail(_t, u, cu)) ** exponent
 
-        hit = cache.get(integrand)
-        value, divergent = hit if hit is not None else cache.put(
-            probed_unit_integral(integrand, _ROBUST_DELTA))
-        if divergent:
-            raise AssumptionViolatedError(
-                f"Y lacks the L^{exponent:g} moment required by the bound")
-        per_t[j] = value
+    def integrand_at(t):
+        return lambda u, cu: np.abs(family_y.quantile_tail(t, u, cu)) ** exponent
+
+    per_t = per_time_integrals(grid.points, integrand_at, probed_unit_integral,
+                               _ROBUST_DELTA)
+    if per_t is None:
+        raise AssumptionViolatedError(
+            f"Y lacks the L^{exponent:g} moment required by the bound")
     norm_pe = integrate(grid, per_t) ** (1.0 / exponent)
     return float((window_term + 2.0 * tail) ** (r / params.beta)
                  * (2.0 * norm_pe) ** (1.0 - r))
@@ -333,11 +309,9 @@ class RobustnessReport:
     lhs_se: float
 
 
-def _power_mean_and_se(diff_power_paths: np.ndarray):
-    mean = float(np.mean(diff_power_paths))
-    n = diff_power_paths.size
-    se = float(np.std(diff_power_paths, ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-    return mean, se
+def _distance_se(value: float, power_se: float, p: int) -> float:
+    """Delta-method standard error of value = power**(1/p)."""
+    return power_se if p == 1 or value <= 0.0 else power_se / (p * value ** (p - 1))
 
 
 def evaluate_bound(ens_x: ProcessEnsemble, family_x: MarginalFamily,
@@ -361,10 +335,8 @@ def evaluate_bound(ens_x: ProcessEnsemble, family_x: MarginalFamily,
     k_val = float(constant) if constant is not None else constant_K(params, family_y, grid)
 
     p = params.p
-    per_path = np.abs(ens_x.paths - ens_y.paths) ** p @ grid.weights
-    lhs_power, power_se = _power_mean_and_se(per_path)
-    lhs = lhs_power ** (1.0 / p)
-    lhs_se = power_se if p == 1 or lhs <= 0.0 else power_se / (p * lhs ** (p - 1))
+    lhs, lhs_power, power_se = mc_coupling_cost(ens_x, ens_y, p)
+    lhs_se = _distance_se(lhs, power_se, p)
 
     if marginal_term is None:
         marginal_term = pathspace_wasserstein_same_copula(
@@ -441,14 +413,9 @@ def copula_distance_bound(tilde_x: ProcessEnsemble, tilde_y: ProcessEnsemble,
 
     u_x = extract_copula(tilde_x, family_tx, _AUX_SEED_X)
     u_y = extract_copula(tilde_y, family_ty, _AUX_SEED_Y)
-    lhs_paths = np.abs(u_x.paths - u_y.paths) ** q @ grid.weights
-    lhs_power, lhs_power_se = _power_mean_and_se(lhs_paths)
-    lhs = lhs_power ** (1.0 / q)
-    lhs_se = lhs_power_se if q == 1 or lhs <= 0.0 else lhs_power_se / (q * lhs ** (q - 1))
-
-    diff_paths = np.abs(tilde_x.paths - tilde_y.paths) ** q @ grid.weights
-    dxy_power, dxy_power_se = _power_mean_and_se(diff_paths)
-    dxy = dxy_power ** (1.0 / q)
+    lhs, _, lhs_power_se = mc_coupling_cost(u_x, u_y, q)
+    lhs_se = _distance_se(lhs, lhs_power_se, q)
+    dxy, dxy_power, dxy_power_se = mc_coupling_cost(tilde_x, tilde_y, q)
 
     w_report = pathspace_wasserstein_same_copula(family_tx, family_ty, grid, q)
     w_term = w_report.integrated
@@ -554,7 +521,7 @@ def pareto_elliptical_experiment(config: ExperimentConfig) -> ExperimentReport:
     ``config.marginal_mode``.
     """
     grid = make_uniform_grid(config.a, config.b, int(config.m))
-    pre_paths, mix_family = _elliptical_pretransform(
+    pre_paths, mix_family = elliptical_pretransform(
         grid, config.hurst, config.mixing, int(config.n_paths), int(config.seed))
     tilde_y = ProcessEnsemble(grid, pre_paths, mix_family.kind,
                               f"elliptical-pre(hurst={config.hurst:g})")

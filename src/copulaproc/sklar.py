@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from ._quadrature import IntegralCache, probed_unit_integral
+from ._quadrature import per_time_integrals, probed_unit_integral
 from .copulas import CopulaEnsemble
 from .errors import InvalidArgumentError
 from .grid import TimeGrid, integrate
@@ -114,15 +114,12 @@ def check_moment_condition(family: MarginalFamily, grid: TimeGrid,
     """
     if not np.isfinite(p) or p <= 0.0:
         raise InvalidArgumentError(f"p must be positive, got {p}")
-    per_t = np.empty(grid.m)
-    cache = IntegralCache(_MOMENT_DELTA)
-    for j, t in enumerate(grid.points):
-        def integrand(u, cu, _t=t):
-            return np.abs(family.quantile_tail(_t, u, cu)) ** p
-        hit = cache.get(integrand)
-        value, divergent = hit if hit is not None else cache.put(
-            probed_unit_integral(integrand, _MOMENT_DELTA))
-        if divergent:
-            return MomentReport(integral=float("inf"), satisfied=False)
-        per_t[j] = value
+
+    def integrand_at(t):
+        return lambda u, cu: np.abs(family.quantile_tail(t, u, cu)) ** p
+
+    per_t = per_time_integrals(grid.points, integrand_at, probed_unit_integral,
+                               _MOMENT_DELTA)
+    if per_t is None:
+        return MomentReport(integral=float("inf"), satisfied=False)
     return MomentReport(integral=integrate(grid, per_t), satisfied=True)

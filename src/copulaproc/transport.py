@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import IntegralCache, adaptive_unit_integral
+from ._quadrature import adaptive_unit_integral, per_time_integrals
 from .copulas import CopulaEnsemble
 from .errors import InvalidArgumentError, NumericFailureError
 from .grid import TimeGrid, integrate
@@ -65,6 +65,16 @@ class ConsistencyReport:
     gap: float
 
 
+def _quantile_gap(family_a: MarginalFamily, family_b: MarginalFamily, p: int):
+    """t -> the W_p integrand |Q_A,t(u) - Q_B,t(u)|**p."""
+    def integrand_at(t):
+        def integrand(u, cu):
+            diff = family_a.quantile_tail(t, u, cu) - family_b.quantile_tail(t, u, cu)
+            return np.abs(diff) ** p
+        return integrand
+    return integrand_at
+
+
 def wasserstein1d_quantile(family_a: MarginalFamily, family_b: MarginalFamily,
                            t: float, p: int, nodes: int = 4096) -> float:
     """W_p between the time-t marginals via the quantile closed form.
@@ -77,12 +87,7 @@ def wasserstein1d_quantile(family_a: MarginalFamily, family_b: MarginalFamily,
         raise InvalidArgumentError(f"nodes must be an integer >= 16, got {nodes!r}")
     if family_a is family_b:
         return 0.0
-    t = float(t)
-
-    def integrand(u, cu):
-        diff = family_a.quantile_tail(t, u, cu) - family_b.quantile_tail(t, u, cu)
-        return np.abs(diff) ** p
-
+    integrand = _quantile_gap(family_a, family_b, p)(float(t))
     power = adaptive_unit_integral(integrand, _TRANSPORT_DELTA, start_nodes=int(nodes))
     return float(power ** (1.0 / p))
 
@@ -114,18 +119,10 @@ def pathspace_wasserstein_same_copula(family_a: MarginalFamily,
         raise InvalidArgumentError(f"nodes must be an integer >= 16, got {nodes!r}")
     if family_a is family_b:
         return TransportReport(p=p, integrated=0.0, per_t=np.zeros(grid.m))
-    per_t = np.empty(grid.m)
-    cache = IntegralCache(_TRANSPORT_DELTA)
-    for j, t in enumerate(grid.points):
-        def integrand(u, cu, _t=float(t)):
-            diff = (family_a.quantile_tail(_t, u, cu)
-                    - family_b.quantile_tail(_t, u, cu))
-            return np.abs(diff) ** p
-
-        hit = cache.get(integrand)
-        power = hit if hit is not None else cache.put(adaptive_unit_integral(
-            integrand, _TRANSPORT_DELTA, start_nodes=int(nodes)))
-        per_t[j] = power ** (1.0 / p)
+    per_t = per_time_integrals(
+        grid.points, _quantile_gap(family_a, family_b, p),
+        lambda f, delta: adaptive_unit_integral(f, delta, start_nodes=int(nodes)) ** (1.0 / p),
+        _TRANSPORT_DELTA)
     integrated = integrate(grid, per_t ** p) ** (1.0 / p)
     return TransportReport(p=p, integrated=float(integrated), per_t=per_t)
 

@@ -28,7 +28,7 @@ from copulaproc import (Empirical, ExperimentConfig,
                         sample_independence, tail_energy, truncate,
                         wasserstein1d_empirical, wasserstein1d_quantile)
 from copulaproc.cli import main
-from copulaproc.copulas import _elliptical_pretransform
+from copulaproc.copulas import elliptical_pretransform
 
 GRID33 = make_uniform_grid(0.5, 1.5, 33)
 MIXING = LognormalMixing(0.0, 0.5)
@@ -156,7 +156,7 @@ def test_gaussian_unit_shift_wasserstein_closed_form():
 def test_kl_truncation_identity_and_brownian_eigenvalues():
     n = 50_000
     grid = make_uniform_grid(1.0, 2.0, 65)
-    pre, _ = _elliptical_pretransform(grid, 0.5, MIXING, n, seed=601)
+    pre, _ = elliptical_pretransform(grid, 0.5, MIXING, n, seed=601)
     ens = ProcessEnsemble(grid, pre, "mixture", "elliptical-pre")
     kl = kl_from_ensemble(ens)
     for keep in (1, 2, 4, 8):
@@ -215,7 +215,7 @@ def test_copula_distance_bound_cases():
     assert shift.lhs <= shift.bound_single + 3.0 * shift.lhs_se
     assert_allclose(shift.f_sup, 1.0 / np.sqrt(2.0 * np.pi), rtol=1e-12)
 
-    pre, family = _elliptical_pretransform(GRID33, 0.5, MIXING, n, seed=802)
+    pre, family = elliptical_pretransform(GRID33, 0.5, MIXING, n, seed=802)
     ens = ProcessEnsemble(GRID33, pre, family.kind, "elliptical-pre")
     trunc = truncate(ens, kl_from_ensemble(ens), 2)
     fam_trunc = empirical_family_from_ensemble(trunc)

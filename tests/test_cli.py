@@ -1,4 +1,5 @@
 import csv
+import glob
 import hashlib
 import json
 import os
@@ -6,7 +7,13 @@ import os
 import numpy as np
 import pytest
 
+from copulaproc import (ExponentialScale, GaussianScale, LognormalMixing, Pareto,
+                        ScaleMixtureGaussian, Uniform, make_uniform_grid, merge,
+                        sample_comonotone)
 from copulaproc.cli import main
+from copulaproc.marginals import FAMILY_KINDS
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _write_config(path, cfg):
@@ -146,6 +153,77 @@ def test_unknown_nested_key_is_named_with_context(tmp_path, capsys):
     assert "grid.extra" in capsys.readouterr().err
 
 
+#: one config per family kind, with the family it must build
+FAMILY_CASES = [
+    ({"kind": "gaussian_scale", "sigma": 2.0, "mean": -1.0},
+     lambda: GaussianScale(2.0, -1.0)),
+    ({"kind": "gaussian_scale", "power_law_hurst": 0.3, "mean": 2.0},
+     lambda: GaussianScale.power_law(0.3, mean=2.0)),
+    ({"kind": "exponential_scale", "scale": "1.5"},
+     lambda: ExponentialScale(1.5)),
+    ({"kind": "exponential_scale", "power_law_hurst": 0.7},
+     lambda: ExponentialScale.power_law(0.7)),
+    ({"kind": "pareto", "x_min": 1.5, "alpha": 3.0},
+     lambda: Pareto(1.5, 3.0)),
+    ({"kind": "uniform", "lo": -1.0, "hi": 2.0},
+     lambda: Uniform(-1.0, 2.0)),
+    ({"kind": "scale_mixture_gaussian", "mixing": {"mu": 0.1, "sigma": 0.3},
+      "scale": 2.0},
+     lambda: ScaleMixtureGaussian(LognormalMixing(0.1, 0.3), 2.0)),
+]
+
+
+def test_family_cases_cover_every_registered_kind():
+    assert {section["kind"] for section, _ in FAMILY_CASES} == set(FAMILY_KINDS)
+
+
+@pytest.mark.parametrize("section, build", FAMILY_CASES,
+                         ids=[c[0]["kind"] + ("_power_law" if "power_law_hurst" in c[0] else "")
+                              for c in FAMILY_CASES])
+def test_every_family_kind_builds_from_config(tmp_path, section, build):
+    cfg = {
+        "grid": {"a": 0.5, "b": 1.5, "m": 3},
+        "model": {"variant": "comonotone"},
+        "family": section,
+        "n_paths": 16,
+        "seed": 3,
+    }
+    rc, outdir = _run(tmp_path, "simulate", cfg)
+    assert rc == 0
+    written = np.loadtxt(outdir / "ensemble.csv", delimiter=",", skiprows=1)
+    copula = sample_comonotone(make_uniform_grid(0.5, 1.5, 3), 16, seed=3)
+    assert np.array_equal(written, merge(copula, build()).paths)
+
+
+@pytest.mark.parametrize("section, named", [
+    ({"kind": "gaussian_scale", "sigma": 1.0, "power_law_hurst": 0.5},
+     "power_law_hurst"),
+    ({"kind": "exponential_scale", "scale": 1.0, "power_law_hurst": 0.5},
+     "power_law_hurst"),
+    ({"kind": "pareto", "alpha": 3.0}, "family.x_min"),
+    ({"kind": "uniform", "bogus": 1.0}, "family.bogus"),
+    ({"kind": "pareto", "x_min": 1.0, "alpha": 3.0, "power_law_hurst": 0.5},
+     "family.power_law_hurst"),
+])
+def test_family_config_errors_exit_2(tmp_path, capsys, section, named):
+    rc, _ = _run(tmp_path, "simulate", dict(SIMULATE_CFG, family=section))
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("check", {"mode": "moment", "p": 1, "grid": {"a": 1.0, "b": 2.0, "m": 3},
+               "family": {"kind": "pareto", "x_min": "abc", "alpha": 3.0}},
+     "family.x_min"),
+    ("simulate", dict(SIMULATE_CFG, grid={"a": "abc", "b": 1.0, "m": 3}), "grid.a"),
+    ("robustness", {"m": 5, "n_paths": 10, "seed": 1, "x_min": [1]}, "x_min"),
+])
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, command, cfg, named):
+    rc, _ = _run(tmp_path, command, cfg)
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "out")])
@@ -246,6 +324,19 @@ def test_check_moment_finite_gaussian(tmp_path):
     assert report["integral"] == pytest.approx(1.0, rel=1e-6)
 
 
+def test_check_moment_power_law_gaussian_keeps_mean(tmp_path):
+    cfg = {
+        "mode": "moment",
+        "grid": {"a": 0.5, "b": 1.5, "m": 5},
+        "family": {"kind": "gaussian_scale", "power_law_hurst": 0.5, "mean": 5.0},
+        "p": 1,
+    }
+    rc, outdir = _run(tmp_path, "check", cfg)
+    assert rc == 0
+    # E|X_t| for X_t ~ N(5, t) on [0.5, 1.5] is 5 up to about 1e-4
+    assert _read_json(outdir / "report.json")["integral"] == pytest.approx(5.0, abs=1e-3)
+
+
 def test_check_assumption_pareto(tmp_path):
     cfg = {
         "mode": "assumption",
@@ -323,3 +414,26 @@ def test_out_directory_is_created(tmp_path):
     rc = main(["simulate", "--config", cfg_path, "--out", str(nested)])
     assert rc == 0
     assert os.path.exists(nested / "manifest.json")
+
+
+def test_committed_configs_match_golden_hashes(tmp_path):
+    """Every non-manifest output of configs/*.json keeps its recorded SHA-256.
+
+    The hashes in perfbench/golden_cli_sha256.json were recorded on Python
+    3.11.7, numpy 2.4.6 and scipy 1.17.1.  Manifests are left out because
+    they name the library versions.
+    """
+    with open(os.path.join(REPO_ROOT, "perfbench", "golden_cli_sha256.json")) as fh:
+        golden = {name: digest for name, digest in json.load(fh).items()
+                  if not name.endswith("/manifest.json")}
+    actual = {}
+    for config in sorted(glob.glob(os.path.join(REPO_ROOT, "configs", "*.json"))):
+        command = os.path.splitext(os.path.basename(config))[0]
+        outdir = tmp_path / command
+        assert main([command, "--config", config, "--out", str(outdir)]) == 0
+        for name in os.listdir(outdir):
+            if name != "manifest.json":
+                with open(outdir / name, "rb") as fh:
+                    actual[f"{command}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
+    assert len(golden) == 9
+    assert actual == golden

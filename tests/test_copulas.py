@@ -192,10 +192,10 @@ def test_elliptical_degenerate_mixing_matches_gaussian_copula():
 
 
 def test_elliptical_matches_pretransform_cdf():
-    from copulaproc.copulas import _elliptical_pretransform
+    from copulaproc.copulas import elliptical_pretransform
     mixing = LognormalMixing(0.0, 0.5)
     ens = sample_elliptical_copula(GRID, 0.5, mixing, 50, seed=77)
-    pre, family = _elliptical_pretransform(GRID, 0.5, mixing, 50, seed=77)
+    pre, family = elliptical_pretransform(GRID, 0.5, mixing, 50, seed=77)
     assert_allclose(ens.paths, family.cdf(GRID.points[0], pre), rtol=0, atol=1e-15)
 
 

@@ -7,7 +7,7 @@ from copulaproc import (GaussianScale, InvalidArgumentError,
                         empirical_covariance, integrate, kl_expand,
                         kl_from_ensemble, make_uniform_grid, merge,
                         sample_fbm_copula, tail_energy, truncate)
-from copulaproc.copulas import _elliptical_pretransform
+from copulaproc.copulas import elliptical_pretransform
 
 GRID = make_uniform_grid(1.0, 2.0, 17)
 
@@ -68,7 +68,7 @@ def test_empirical_covariance_matches_numpy():
 
 def test_truncation_error_equals_tail_energy():
     n = 20_000
-    pre, _ = _elliptical_pretransform(GRID, 0.5, LognormalMixing(0.0, 0.5),
+    pre, _ = elliptical_pretransform(GRID, 0.5, LognormalMixing(0.0, 0.5),
                                       n, seed=29)
     ens = ProcessEnsemble(GRID, pre, "mixture", "elliptical-pre")
     kl = kl_from_ensemble(ens)

@@ -12,7 +12,7 @@ from copulaproc import (AssumptionViolatedError, Empirical, ExperimentConfig,
                         pareto_elliptical_experiment,
                         gaussian_minorant_params, pareto_minorant_params, rho,
                         sample_fbm_copula, truncate)
-from copulaproc.copulas import _elliptical_pretransform
+from copulaproc.copulas import elliptical_pretransform
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
 
@@ -203,7 +203,7 @@ def test_copula_bound_shared_noise_mean_shift():
 def test_copula_bound_elliptical_truncation():
     n = 4_000
     mixing = LognormalMixing(0.0, 0.5)
-    pre, family = _elliptical_pretransform(GRID, 0.5, mixing, n, seed=12)
+    pre, family = elliptical_pretransform(GRID, 0.5, mixing, n, seed=12)
     ens = ProcessEnsemble(GRID, pre, family.kind, "elliptical-pre")
     kl = kl_from_ensemble(ens)
     trunc = truncate(ens, kl, 2)
