@@ -73,54 +73,24 @@ def adaptive_unit_integral(f: Integrand, delta: float, start_nodes: int = 4096,
         n *= 2
 
 
-class IntegralCache:
-    """Reuse results across grid times for time-invariant integrands.
-
-    Quantile integrals are evaluated once per grid point, but families
-    with constant parameters give the same integrand at every time.  The
-    cache probes each integrand on a fixed 32-node mesh; an exact match
-    with the previous probe returns the stored result, anything else
-    recomputes.  Exact comparison keeps this safe for genuinely
-    time-varying families.
-    """
-
-    def __init__(self, delta: float, n_probe: int = 32):
-        self._u, self._cu, _ = graded_midpoint_nodes(delta, n_probe)
-        self._probe = None
-        self._result = None
-
-    def get(self, f: Integrand):
-        vals = np.asarray(f(self._u, self._cu), dtype=float)
-        if (self._result is not None and self._probe is not None
-                and np.array_equal(vals, self._probe)):
-            return self._result
-        self._probe = vals
-        self._result = None
-        return None
-
-    def put(self, result):
-        self._result = result
-        return result
-
-
-def per_time_integrals(points, integrand_at, rule, delta: float):
+def per_time_integrals(points, integrand_at, rule, delta: float, invariant: bool):
     """``rule(integrand_at(t), delta)`` at every time t in ``points``.
 
     ``rule`` returns a value, or a ``(value, divergent)`` pair as
-    ``probed_unit_integral`` does.  Results are reused through an
-    ``IntegralCache`` while the integrand does not change.  Returns the
-    per-time values, or None as soon as one time diverges.
+    ``probed_unit_integral`` does.  When ``invariant`` declares that the
+    integrand does not depend on t, it is integrated once at the first
+    time and that value is reported at every time.  Returns the per-time
+    values, or None as soon as one time diverges.
     """
     per_t = np.empty(len(points))
-    cache = IntegralCache(delta)
-    for j, t in enumerate(points):
-        f = integrand_at(t)
-        hit = cache.get(f)
-        result = hit if hit is not None else cache.put(rule(f, delta))
+    for j, t in enumerate(points[:1] if invariant else points):
+        result = rule(integrand_at(t), delta)
         value, divergent = result if isinstance(result, tuple) else (result, False)
         if divergent:
             return None
         per_t[j] = value
+    if invariant:
+        per_t[1:] = per_t[0]
     return per_t
 
 

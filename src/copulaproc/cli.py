@@ -253,7 +253,7 @@ def _run_check(cfg, outdir):
         _check_keys(section, ("p", "epsilon", "q", "beta", "x0"), "params")
         common = {key: _float(section[key], f"params.{key}")
                   for key in ("epsilon", "q", "beta", "x0") if key in section}
-        common["p"] = section.get("p", 1)
+        common["p"] = _int(section.get("p", 1), "params.p", 1)
         if isinstance(family, Pareto):
             params = pareto_minorant_params(family, grid, **common)
         elif isinstance(family, GaussianScale):

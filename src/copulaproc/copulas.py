@@ -157,7 +157,7 @@ def sample_elliptical_copula(grid: TimeGrid, hurst: float, mixing: LognormalMixi
                              n_paths: int, seed: int) -> CopulaEnsemble:
     """Copula of the scale mixture S * V (see elliptical_pretransform)."""
     pre, family = elliptical_pretransform(grid, hurst, mixing, n_paths, seed)
-    paths = family._cdf0(pre)
+    paths = family.cdf(grid.a, pre)  # unit scale: the same law at every t
     return CopulaEnsemble(grid, paths, int(seed),
                           f"elliptical(hurst={float(hurst):g},{mixing.tag})")
 

@@ -78,6 +78,8 @@ class MarginalFamily:
     power_law_key: str | None = None
     has_density: bool = False
     is_continuous: bool = False
+    #: the law is the same at every t, so per-time quadratures integrate once
+    time_invariant: bool = False
 
     def __init__(self, tail_eps: float = _DEFAULT_TAIL_EPS):
         if not 0.0 < tail_eps < 0.5:
@@ -184,8 +186,9 @@ class GaussianScale(MarginalFamily):
 
     def __init__(self, sigma=1.0, mean=0.0, tail_eps: float = _DEFAULT_TAIL_EPS):
         super().__init__(tail_eps)
-        self._sigma = _as_time_fn(sigma, "sigma", 0.0)
-        self._mean = _as_time_fn(mean, "mean")
+        self.sigma = _as_time_fn(sigma, "sigma", 0.0)
+        self.mean = _as_time_fn(mean, "mean")
+        self.time_invariant = not (callable(sigma) or callable(mean))
 
     @classmethod
     def power_law(cls, hurst: float, mean=0.0, tail_eps: float = _DEFAULT_TAIL_EPS):
@@ -194,15 +197,15 @@ class GaussianScale(MarginalFamily):
         return cls(sigma=lambda t: t ** h, mean=mean, tail_eps=tail_eps)
 
     def _cdf(self, t, x):
-        s = self._sigma(t)
-        mu = self._mean(t)
+        s = self.sigma(t)
+        mu = self.mean(t)
         if s == 0.0:
             return (x >= mu).astype(float)
         return ndtr((x - mu) / s)
 
     def _quantile(self, t, u, cu):
-        s = self._sigma(t)
-        mu = self._mean(t)
+        s = self.sigma(t)
+        mu = self.mean(t)
         if s == 0.0:
             return np.full_like(u, mu)
         # complement form keeps the upper tail accurate
@@ -210,21 +213,21 @@ class GaussianScale(MarginalFamily):
         return mu + s * z
 
     def _pdf(self, t, x):
-        s = self._sigma(t)
+        s = self.sigma(t)
         if s == 0.0:
             raise UnsupportedOperationError(f"degenerate gaussian at t={t} has no density")
-        mu = self._mean(t)
+        mu = self.mean(t)
         z = (x - mu) / s
         return np.exp(-0.5 * z * z) / (_SQRT_2PI * s)
 
     def support(self, t):
-        if self._sigma(float(t)) == 0.0:
-            mu = self._mean(float(t))
+        if self.sigma(float(t)) == 0.0:
+            mu = self.mean(float(t))
             return mu, mu
         return -np.inf, np.inf
 
     def density_sup_bound(self, grid):
-        sig = np.array([self._sigma(t) for t in grid.points])
+        sig = np.array([self.sigma(t) for t in grid.points])
         if sig.min() == 0.0:
             return None
         return float(1.0 / (_SQRT_2PI * sig.min()))
@@ -245,7 +248,8 @@ class ExponentialScale(MarginalFamily):
 
     def __init__(self, scale=1.0, tail_eps: float = _DEFAULT_TAIL_EPS):
         super().__init__(tail_eps)
-        self._theta = _as_time_fn(scale, "scale", 0.0)
+        self.scale = _as_time_fn(scale, "scale", 0.0)
+        self.time_invariant = not callable(scale)
 
     @classmethod
     def power_law(cls, hurst: float, tail_eps: float = _DEFAULT_TAIL_EPS):
@@ -253,28 +257,28 @@ class ExponentialScale(MarginalFamily):
         return cls(scale=lambda t: t ** h, tail_eps=tail_eps)
 
     def _cdf(self, t, x):
-        th = self._theta(t)
+        th = self.scale(t)
         if th == 0.0:
             return (x >= 0.0).astype(float)
         return np.where(x > 0.0, -np.expm1(-np.maximum(x, 0.0) / th), 0.0)
 
     def _quantile(self, t, u, cu):
-        th = self._theta(t)
+        th = self.scale(t)
         if th == 0.0:
             return np.zeros_like(u)
         return -th * np.log(np.maximum(cu, 1e-320))
 
     def _pdf(self, t, x):
-        th = self._theta(t)
+        th = self.scale(t)
         if th == 0.0:
             raise UnsupportedOperationError(f"degenerate exponential at t={t} has no density")
         return np.where(x >= 0.0, np.exp(-np.maximum(x, 0.0) / th) / th, 0.0)
 
     def support(self, t):
-        return 0.0, (np.inf if self._theta(float(t)) > 0.0 else 0.0)
+        return 0.0, (np.inf if self.scale(float(t)) > 0.0 else 0.0)
 
     def density_sup_bound(self, grid):
-        th = np.array([self._theta(t) for t in grid.points])
+        th = np.array([self.scale(t) for t in grid.points])
         if th.min() == 0.0:
             return None
         return float(1.0 / th.min())
@@ -296,20 +300,21 @@ class Pareto(MarginalFamily):
         self.x_min = float(x_min)
         if not np.isfinite(self.x_min) or self.x_min <= 0.0:
             raise InvalidArgumentError(f"x_min must be positive, got {x_min}")
-        self._alpha = _as_time_fn(alpha, "alpha", 0.0, strict=True)
+        self.alpha = _as_time_fn(alpha, "alpha", 0.0, strict=True)
+        self.time_invariant = not callable(alpha)
 
     def _cdf(self, t, x):
-        a = self._alpha(t)
+        a = self.alpha(t)
         ratio = np.maximum(x, self.x_min) / self.x_min
         return np.where(x >= self.x_min, 1.0 - ratio ** (-a), 0.0)
 
     def _quantile(self, t, u, cu):
-        a = self._alpha(t)
+        a = self.alpha(t)
         with np.errstate(divide="ignore"):
             return self.x_min * np.maximum(cu, 1e-320) ** (-1.0 / a)
 
     def _pdf(self, t, x):
-        a = self._alpha(t)
+        a = self.alpha(t)
         ratio = np.maximum(x, self.x_min) / self.x_min
         return np.where(x >= self.x_min, a / self.x_min * ratio ** (-a - 1.0), 0.0)
 
@@ -317,7 +322,7 @@ class Pareto(MarginalFamily):
         return self.x_min, np.inf
 
     def density_sup_bound(self, grid):
-        alphas = np.array([self._alpha(t) for t in grid.points])
+        alphas = np.array([self.alpha(t) for t in grid.points])
         return float(alphas.max() / self.x_min)
 
 
@@ -328,6 +333,7 @@ class Uniform(MarginalFamily):
     config_keys = ("lo", "hi")
     has_density = True
     is_continuous = True
+    time_invariant = True
 
     def __init__(self, lo: float = 0.0, hi: float = 1.0,
                  tail_eps: float = _DEFAULT_TAIL_EPS):
@@ -413,7 +419,8 @@ class ScaleMixtureGaussian(MarginalFamily):
                 "mixing must have finite E[1/S] and E[S**2]")
         self.mixing = mixing
         self.n_quad = int(n_quad)
-        self._scale = _as_time_fn(scale, "scale", 0.0, strict=True)
+        self.scale = _as_time_fn(scale, "scale", 0.0, strict=True)
+        self.time_invariant = not callable(scale)
         nodes, weights = roots_legendre(self.n_quad)
         self._mix_u = 0.5 * (nodes + 1.0)
         self._mix_w = 0.5 * weights
@@ -454,8 +461,9 @@ class ScaleMixtureGaussian(MarginalFamily):
         return self._table
 
     def _quantile0(self, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
-        # Quadrature drivers re-invert the same node arrays at every grid
-        # time; keep the last result per array size so repeats are free.
+        # A time-varying scale c_t only multiplies this quantile, so every
+        # grid time re-inverts the same nodes: keep the last result per
+        # size, reused only when the whole input matches exactly.
         u = np.asarray(u, dtype=float)
         cu = np.asarray(cu, dtype=float)
         memoize = u.ndim == 1 and u.size >= 2048
@@ -476,20 +484,20 @@ class ScaleMixtureGaussian(MarginalFamily):
 
     # ----- family hooks --------------------------------------------------
     def _cdf(self, t, x):
-        return self._cdf0(x / self._scale(t))
+        return self._cdf0(x / self.scale(t))
 
     def _quantile(self, t, u, cu):
-        return self._scale(t) * self._quantile0(u, cu)
+        return self.scale(t) * self._quantile0(u, cu)
 
     def _pdf(self, t, x):
-        c = self._scale(t)
+        c = self.scale(t)
         return self._pdf0(x / c) / c
 
     def support(self, t):
         return -np.inf, np.inf
 
     def density_sup_bound(self, grid):
-        scales = np.array([self._scale(t) for t in grid.points])
+        scales = np.array([self.scale(t) for t in grid.points])
         inv_mean = float(self._mix_w @ (1.0 / self._mix_s))
         return inv_mean / (_SQRT_2PI * scales.min())
 

@@ -104,13 +104,13 @@ def gaussian_minorant_params(family: GaussianScale, grid: TimeGrid, p: int = 1,
     """Take g = f itself: valid for Gaussian scales with a zero window."""
     if not isinstance(family, GaussianScale):
         raise InvalidArgumentError("gaussian preset requires a GaussianScale family")
-    modes = np.array([family._mean(t) for t in grid.points])
+    modes = np.array([family.mean(t) for t in grid.points])
     peak = np.array([float(family.pdf(t, mu)) for t, mu in zip(grid.points, modes)])
     return RobustnessParams(
         p=p, epsilon=epsilon, q=q, beta=beta,
         lambda_floor=float(peak.min()),
-        minorant=lambda t, x: family.pdf(t, x),
-        center=family._mean,
+        minorant=family.pdf,
+        center=family.mean,
         halfwidth=lambda t: 0.0,
         minorant_tag="gaussian-density")
 
@@ -133,7 +133,7 @@ def pareto_minorant_params(family: Pareto, grid: TimeGrid, x0: float = 0.0,
         return RobustnessParams(
             p=p, epsilon=epsilon, q=q, beta=beta,
             lambda_floor=lam,
-            minorant=lambda t, x: family.pdf(t, x),
+            minorant=family.pdf,
             center=lambda t: family.x_min,
             halfwidth=lambda t: 0.0,
             minorant_tag="pareto-density")
@@ -169,8 +169,10 @@ def _tail_integral(family: MarginalFamily, params: RobustnessParams,
             return g ** (-params.beta)
         return integrand
 
+    # a custom minorant may depend on t by itself: integrate it at every time
     per_t = per_time_integrals(grid.points, integrand_at, probed_unit_integral,
-                               _ROBUST_DELTA)
+                               _ROBUST_DELTA,
+                               family.time_invariant and params.minorant == family.pdf)
     return float("inf") if per_t is None else integrate(grid, per_t)
 
 
@@ -250,7 +252,7 @@ def constant_K(params: RobustnessParams, family_y: MarginalFamily,
         return lambda u, cu: np.abs(family_y.quantile_tail(t, u, cu)) ** exponent
 
     per_t = per_time_integrals(grid.points, integrand_at, probed_unit_integral,
-                               _ROBUST_DELTA)
+                               _ROBUST_DELTA, family_y.time_invariant)
     if per_t is None:
         raise AssumptionViolatedError(
             f"Y lacks the L^{exponent:g} moment required by the bound")
@@ -278,7 +280,7 @@ def pareto_constant_bound(family_y: Pareto, grid: TimeGrid,
     gamma = float(gamma)
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise InvalidArgumentError(f"gamma must be positive, got {gamma}")
-    alphas = np.array([family_y._alpha(t) for t in grid.points])
+    alphas = np.array([family_y.alpha(t) for t in grid.points])
     if alphas.min() < 2.0 + gamma:
         raise InvalidArgumentError(
             f"min alpha_t = {alphas.min():g} violates the margin alpha >= 2 + gamma")

@@ -119,7 +119,7 @@ def check_moment_condition(family: MarginalFamily, grid: TimeGrid,
         return lambda u, cu: np.abs(family.quantile_tail(t, u, cu)) ** p
 
     per_t = per_time_integrals(grid.points, integrand_at, probed_unit_integral,
-                               _MOMENT_DELTA)
+                               _MOMENT_DELTA, family.time_invariant)
     if per_t is None:
         return MomentReport(integral=float("inf"), satisfied=False)
     return MomentReport(integral=integrate(grid, per_t), satisfied=True)

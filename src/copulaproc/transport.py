@@ -122,7 +122,7 @@ def pathspace_wasserstein_same_copula(family_a: MarginalFamily,
     per_t = per_time_integrals(
         grid.points, _quantile_gap(family_a, family_b, p),
         lambda f, delta: adaptive_unit_integral(f, delta, start_nodes=int(nodes)) ** (1.0 / p),
-        _TRANSPORT_DELTA)
+        _TRANSPORT_DELTA, family_a.time_invariant and family_b.time_invariant)
     integrated = integrate(grid, per_t ** p) ** (1.0 / p)
     return TransportReport(p=p, integrated=float(integrated), per_t=per_t)
 

@@ -217,6 +217,10 @@ def test_family_config_errors_exit_2(tmp_path, capsys, section, named):
      "family.x_min"),
     ("simulate", dict(SIMULATE_CFG, grid={"a": "abc", "b": 1.0, "m": 3}), "grid.a"),
     ("robustness", {"m": 5, "n_paths": 10, "seed": 1, "x_min": [1]}, "x_min"),
+    ("check", {"mode": "assumption", "grid": {"a": 1.0, "b": 2.0, "m": 3},
+               "family": {"kind": "pareto", "x_min": 1.0, "alpha": 3.0},
+               "params": {"p": "1"}},
+     "params.p"),
 ])
 def test_non_numeric_config_value_exits_2(tmp_path, capsys, command, cfg, named):
     rc, _ = _run(tmp_path, command, cfg)

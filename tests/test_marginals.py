@@ -8,6 +8,7 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         ScaleMixtureGaussian, Uniform,
                         UnsupportedOperationError, empirical_family_from_csv,
                         empirical_family_to_csv, make_uniform_grid)
+from copulaproc.marginals import FAMILY_KINDS
 
 U_LAT = np.linspace(1e-6, 1.0 - 1e-6, 501)
 
@@ -214,3 +215,35 @@ def test_family_validation():
     with pytest.raises(UnsupportedOperationError):
         g = make_uniform_grid(0.0, 1.0, 2)
         Empirical(g, np.zeros((2, 3))).pdf(0.0, 0.0)
+
+
+#: kind -> (numeric constructor arguments, the ones that are functions of t)
+NUMERIC_FAMILIES = {
+    "gaussian_scale": ({"sigma": 2.0, "mean": -1.0}, ("sigma", "mean")),
+    "exponential_scale": ({"scale": 1.5}, ("scale",)),
+    "pareto": ({"x_min": 1.5, "alpha": 3.0}, ("alpha",)),
+    "uniform": ({"lo": -1.0, "hi": 2.0}, ()),
+    "scale_mixture_gaussian": ({"mixing": LognormalMixing(0.1, 0.3), "scale": 2.0},
+                               ("scale",)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+def test_numeric_parameters_declare_time_invariance(kind):
+    cls = FAMILY_KINDS[kind]
+    kwargs, time_keys = NUMERIC_FAMILIES[kind]
+    assert cls(**kwargs).time_invariant
+    for key in time_keys:
+        value = kwargs[key]
+        # time functions are public and return the constant
+        assert getattr(cls(**kwargs), key)(0.3) == value
+        # a callable is not inspected, even when it is constant
+        varying = cls(**dict(kwargs, **{key: lambda t, v=value: v}))
+        assert not varying.time_invariant
+    if cls.power_law_key is not None:
+        assert not cls.power_law(0.5).time_invariant
+
+
+def test_empirical_is_never_time_invariant():
+    grid = make_uniform_grid(0.0, 1.0, 2)
+    assert not Empirical(grid, np.ones((2, 3))).time_invariant

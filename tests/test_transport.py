@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from copulaproc import (ExponentialScale, GaussianScale, InvalidArgumentError,
-                        Pareto, Uniform, attach_mc_check,
+from copulaproc import (Empirical, ExponentialScale, GaussianScale,
+                        InvalidArgumentError, Pareto, Uniform, attach_mc_check,
                         basis_path_consistency_check, make_uniform_grid,
                         mc_coupling_cost, merge, optimal_coupling,
                         pathspace_wasserstein_same_copula, sample_comonotone,
@@ -42,6 +42,21 @@ def test_identical_families_zero():
     rep = pathspace_wasserstein_same_copula(fam, fam, GRID, p=2)
     assert rep.integrated == 0.0
     assert np.all(rep.per_t == 0.0)
+
+
+def test_pathspace_per_time_values_do_not_alias_across_times():
+    # 0/1 columns with P(1) = 0.50 and 0.51: the two laws differ, but a
+    # quantile probe on coarse nodes cannot tell them apart
+    grid = make_uniform_grid(0.0, 1.0, 2)
+    columns = np.zeros((2, 100))
+    columns[0, :50] = 1.0
+    columns[1, :51] = 1.0
+    emp, uni = Empirical(grid, columns), Uniform()
+    rep = pathspace_wasserstein_same_copula(emp, uni, grid, p=1)
+    for j, t in enumerate(grid.points):
+        assert_allclose(rep.per_t[j], wasserstein1d_quantile(emp, uni, t=t, p=1),
+                        rtol=1e-12)
+    assert rep.per_t[1] > rep.per_t[0]
 
 
 def test_empirical_estimator_matches_quantile_form():
