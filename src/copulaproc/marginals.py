@@ -546,13 +546,25 @@ class Empirical(MarginalFamily):
                 return j
         raise InvalidArgumentError(f"t={t!r} is not a grid point of this family")
 
-    def _cdf(self, t, x):
+    def _rank_fraction(self, t, x, side):
+        """searchsorted(column, x, side) / n, searched in sorted query order.
+
+        Queries in ascending order walk the column once instead of jumping
+        across it, so one argsort plus a scatter back is cheaper than
+        searching large random-order queries directly; the ranks are equal.
+        """
         col = self._columns[self._col_index(t)]
-        return np.searchsorted(col, x, side="right") / col.size
+        flat = x.ravel()
+        order = np.argsort(flat)
+        ranks = np.empty(flat.size, dtype=np.intp)
+        ranks[order] = np.searchsorted(col, flat[order], side=side)
+        return ranks.reshape(x.shape) / col.size
+
+    def _cdf(self, t, x):
+        return self._rank_fraction(t, x, "right")
 
     def _cdf_left(self, t, x):
-        col = self._columns[self._col_index(t)]
-        return np.searchsorted(col, x, side="left") / col.size
+        return self._rank_fraction(t, x, "left")
 
     def _quantile(self, t, u, cu):
         col = self._columns[self._col_index(t)]

@@ -5,6 +5,10 @@ Every sampled path draws from its own counter-based substream keyed by
 variates no matter how many paths are requested, in what order they are
 generated, or how work is scheduled.  Philox is used because its key fully
 determines the stream without any sequential seeding state.
+
+``path_generator`` defines the stream of one path; ``path_rows`` draws
+the same streams from one generator per call, re-keyed for each path,
+which is far cheaper than constructing a generator per path.
 """
 
 from __future__ import annotations
@@ -14,9 +18,12 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 _UINT64_MAX = 2**64 - 1
+#: a fresh Philox has used none of its 4-word output block
+_PHILOX_BUFFER_SIZE = 4
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
+    """Validate a master seed (an integer in [0, 2**64)) and return it."""
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) <= _UINT64_MAX:
@@ -30,7 +37,7 @@ def path_generator(seed: int, index: int) -> np.random.Generator:
     The 128-bit Philox key is the pair (seed, index), so distinct paths use
     provably disjoint streams and regenerating any single path is O(1).
     """
-    seed = _check_seed(seed)
+    seed = check_seed(seed)
     if index < 0:
         raise InvalidArgumentError(f"path index must be nonnegative, got {index}")
     key = np.array([seed, index], dtype=np.uint64)
@@ -41,15 +48,27 @@ def path_rows(seed: int, n_paths: int, n_cols: int, draw) -> np.ndarray:
     """(n_paths, n_cols) array whose row i is ``draw(path_generator(seed, i))``.
 
     ``draw`` receives the path's generator and returns the row's n_cols
-    values; this is the single per-path loop behind every sampler.
+    values; this is the single per-path loop behind every sampler.  One
+    generator serves all rows: before each row its Philox is re-keyed to
+    (seed, i) with a zero counter, an empty output buffer and no cached
+    32-bit half, exactly the state of a new ``path_generator(seed, i)``.
     """
-    _check_seed(seed)
+    seed = check_seed(seed)
     for name, n in (("n_paths", n_paths), ("n_cols", n_cols)):
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
             raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
+    gen = path_generator(seed, 0)
+    bit_generator = gen.bit_generator
+    key = [seed, 0]
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0] * _PHILOX_BUFFER_SIZE, "buffer_pos": _PHILOX_BUFFER_SIZE,
+             "has_uint32": 0, "uinteger": 0}
     out = np.empty((n_paths, n_cols))
     for i in range(n_paths):
-        out[i] = draw(path_generator(seed, i))
+        key[1] = i
+        bit_generator.state = fresh
+        out[i] = draw(gen)
     return out
 
 

@@ -75,6 +75,9 @@ class RobustnessParams:
     ``minorant`` maps (t, x-array) to g_t(x); ``center`` and ``halfwidth``
     give the window [m_t - x0_t, m_t + x0_t] on which g stays above
     ``lambda_floor``.  A zero halfwidth removes the window term from K.
+    A minorant whose values do not depend on t may carry the attribute
+    ``time_invariant = True``; its tail integral over a time-invariant
+    family is then computed once instead of at every grid time.
     """
 
     p: int
@@ -147,6 +150,8 @@ def pareto_minorant_params(family: Pareto, grid: TimeGrid, x0: float = 0.0,
         return np.where(x < 0.0, 0.0,
                         np.where(x < x0, lam, family.pdf(t, x)))
 
+    # the profile depends on t only through the density it follows
+    piecewise.time_invariant = family.time_invariant
     return RobustnessParams(
         p=p, epsilon=epsilon, q=q, beta=beta,
         lambda_floor=lam,
@@ -169,10 +174,13 @@ def _tail_integral(family: MarginalFamily, params: RobustnessParams,
             return g ** (-params.beta)
         return integrand
 
-    # a custom minorant may depend on t by itself: integrate it at every time
+    # a custom minorant may depend on t by itself: integrate it at every
+    # time unless it is the family's density or declares ``time_invariant``
+    minorant_invariant = (params.minorant == family.pdf
+                          or getattr(params.minorant, "time_invariant", False))
     per_t = per_time_integrals(grid.points, integrand_at, probed_unit_integral,
                                _ROBUST_DELTA,
-                               family.time_invariant and params.minorant == family.pdf)
+                               family.time_invariant and minorant_invariant)
     return float("inf") if per_t is None else integrate(grid, per_t)
 
 

@@ -4,10 +4,10 @@ The merge direction builds process paths X_t = Q_t(U_t) column by column
 through the generalized inverse of the marginal family.  The extraction
 direction recovers a copula ensemble from process paths: continuous
 marginals apply F_t directly, atomic ones apply the distributional
-transform with auxiliary uniforms.  Extraction always consumes exactly one
-auxiliary uniform per entry, discarded in the continuous case, so the
-auxiliary stream depends only on ``aux_seed`` and never on the marginal
-kind.
+transform with auxiliary uniforms.  Only atomic families draw them, one
+per entry from the per-path substreams of ``aux_seed``; continuous
+families draw nothing.  Because every path has its own key, skipping the
+draws moves no other stream.
 """
 
 from __future__ import annotations
@@ -76,20 +76,22 @@ def extract_copula(process: ProcessEnsemble, family: MarginalFamily,
 
     Continuous families use U_t = F_t(X_t); families with atoms use
     F_t(x-) + V (F_t(x) - F_t(x-)) with per-entry auxiliary uniforms V
-    drawn from per-path substreams of ``aux_seed``.
+    drawn from per-path substreams of ``aux_seed``.  ``aux_seed`` is
+    validated, and recorded as the ensemble seed, for every family.
     """
     _check_family_grid(family, process.grid)
-    aux = rng.uniform_rows(aux_seed, process.n_paths, process.grid.m)
+    aux_seed = rng.check_seed(aux_seed)
     out = np.empty_like(process.paths)
     if family.is_continuous:
         for j, t in enumerate(process.grid.points):
             out[:, j] = family.cdf(t, process.paths[:, j])
     else:
+        aux = rng.uniform_rows(aux_seed, process.n_paths, process.grid.m)
         for j, t in enumerate(process.grid.points):
             out[:, j] = family.distributional_transform(
                 t, process.paths[:, j], aux[:, j])
     out = np.clip(out, 0.0, 1.0)
-    return CopulaEnsemble(process.grid, out, int(aux_seed),
+    return CopulaEnsemble(process.grid, out, aux_seed,
                           f"extracted({family.kind})")
 
 

@@ -102,6 +102,32 @@ def test_empirical_order_statistics():
     assert fam.cdf_left(0.0, 2.0) == 0.2
 
 
+def test_empirical_ranks_match_plain_searchsorted():
+    g = make_uniform_grid(0.0, 1.0, 3)
+    rng = np.random.default_rng(8)
+    samples = rng.integers(0, 6, size=(3, 500)).astype(float)  # heavy ties
+    samples[1] = rng.standard_normal(500)
+    fam = Empirical(g, samples)
+    for t in g.points:
+        col = fam.column(t)
+        queries = np.concatenate((
+            col[rng.permutation(col.size)],              # every sample value
+            rng.uniform(col[0] - 1.0, col[-1] + 1.0, 300),
+            [col[0] - 10.0, col[-1] + 10.0, col[0], col[-1]]))  # beyond and at the ends
+        rng.shuffle(queries)
+        for x in (queries, queries[:400].reshape(20, 20), float(queries[7])):
+            right = np.searchsorted(col, x, side="right") / col.size
+            left = np.searchsorted(col, x, side="left") / col.size
+            assert np.array_equal(fam.cdf(t, x), right)
+            assert np.array_equal(fam.cdf_left(t, x), left)
+            v = np.asarray(rng.uniform(size=np.shape(x)))
+            v = float(v) if np.ndim(x) == 0 else v
+            assert np.array_equal(fam.distributional_transform(t, x, v),
+                                  left + v * (right - left))
+            assert np.shape(fam.cdf(t, x)) == np.shape(x)
+    assert isinstance(fam.cdf(0.0, 2.0), float)
+
+
 def test_empirical_csv_roundtrip_exact(tmp_path):
     g = make_uniform_grid(0.25, 0.75, 3)
     rng = np.random.default_rng(5)

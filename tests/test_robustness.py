@@ -12,6 +12,8 @@ from copulaproc import (AssumptionViolatedError, Empirical, ExperimentConfig,
                         pareto_elliptical_experiment,
                         gaussian_minorant_params, pareto_minorant_params, rho,
                         sample_fbm_copula, truncate)
+from copulaproc import robustness
+from copulaproc._quadrature import probed_unit_integral
 from copulaproc.copulas import elliptical_pretransform
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
@@ -91,6 +93,26 @@ def test_piecewise_minorant_passes_checks():
     k_window = constant_K(params, fam, GRID)
     k_plain = constant_K(pareto_minorant_params(fam, GRID), fam, GRID)
     assert k_window != k_plain
+
+
+@pytest.mark.parametrize("alpha, expected_calls", [(4.0, 1), (lambda t: 4.0, GRID.m)],
+                         ids=["constant", "callable"])
+def test_piecewise_minorant_tail_integrated_once_when_invariant(
+        monkeypatch, alpha, expected_calls):
+    fam = Pareto(1.0, alpha)
+    params = pareto_minorant_params(fam, GRID, x0=2.0)
+    calls = []
+
+    def counted(f, delta):
+        calls.append(delta)
+        return probed_unit_integral(f, delta)
+
+    monkeypatch.setattr(robustness, "probed_unit_integral", counted)
+    rep = check_assumption(fam, params, GRID)
+    assert len(calls) == expected_calls
+    # the value is the one integrated at every time
+    monkeypatch.setattr(params.minorant, "time_invariant", False)
+    assert check_assumption(fam, params, GRID).tail_integral == rep.tail_integral
 
 
 def test_minorant_violations_detected():

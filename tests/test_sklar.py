@@ -8,6 +8,7 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         Uniform, check_moment_condition, extract_copula,
                         make_uniform_grid, merge, sample_comonotone,
                         sample_fbm_copula)
+from copulaproc import rng
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
 
@@ -49,6 +50,28 @@ def test_extract_continuous_ignores_aux_seed():
     a = extract_copula(ens, fam, aux_seed=1)
     b = extract_copula(ens, fam, aux_seed=2)
     assert np.array_equal(a.paths, b.paths)
+
+
+@pytest.mark.parametrize("aux_seed", [-1, 2**64, True, 1.5])
+def test_extract_continuous_validates_aux_seed(aux_seed):
+    fam = GaussianScale(1.0)
+    ens = merge(sample_fbm_copula(GRID, 0.5, 5, seed=2), fam)
+    with pytest.raises(InvalidArgumentError):
+        extract_copula(ens, fam, aux_seed=aux_seed)
+
+
+def test_extract_continuous_draws_no_auxiliary_uniforms(monkeypatch):
+    fam = GaussianScale(1.0)
+    ens = merge(sample_fbm_copula(GRID, 0.5, 50, seed=2), fam)
+    expected = extract_copula(ens, fam, aux_seed=3)
+
+    def refuse(*args):
+        raise AssertionError("continuous extraction drew auxiliary uniforms")
+
+    monkeypatch.setattr(rng, "uniform_rows", refuse)
+    back = extract_copula(ens, fam, aux_seed=3)
+    assert np.array_equal(back.paths, expected.paths)
+    assert back.seed == 3
 
 
 def test_extract_atomic_uses_aux_seed():
