@@ -25,6 +25,9 @@ from .errors import InvalidArgumentError, NumericFailureError
 #: integrand signature: f(u, one_minus_u) -> array of values
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+_START_NODES = 4096
+_REL_TOL = 1e-6
+
 
 def graded_midpoint_nodes(delta: float, n_nodes: int):
     """Midpoint nodes and weights on (delta, 1 - delta).
@@ -46,16 +49,13 @@ def graded_midpoint_nodes(delta: float, n_nodes: int):
     return u, cu, w
 
 
-def adaptive_unit_integral(f: Integrand, delta: float, start_nodes: int = 4096,
-                           rel_tol: float = 1e-6, max_nodes: int = 2**18) -> float:
+def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -> float:
     """int_delta^{1-delta} f(u) du with node doubling.
 
-    Starts at ``start_nodes`` midpoints and doubles until successive values
-    agree to ``rel_tol`` relative or the node cap is reached.
+    Starts at ``_START_NODES`` = 4096 midpoints and doubles until successive
+    values agree to ``_REL_TOL`` = 1e-6 relative or the node cap is reached.
     """
-    if start_nodes < 2:
-        raise InvalidArgumentError("start_nodes must be at least 2")
-    n = int(start_nodes)
+    n = _START_NODES
     previous = None
     while True:
         u, cu, w = graded_midpoint_nodes(delta, n)
@@ -65,7 +65,7 @@ def adaptive_unit_integral(f: Integrand, delta: float, start_nodes: int = 4096,
         if not np.isfinite(vals).all():
             raise NumericFailureError("integrand produced non-finite values")
         total = float(w @ vals)
-        if previous is not None and abs(total - previous) <= rel_tol * max(abs(total), 1e-300):
+        if previous is not None and abs(total - previous) <= _REL_TOL * max(abs(total), 1e-300):
             return total
         if n >= max_nodes:
             return total
@@ -94,8 +94,7 @@ def per_time_integrals(points, integrand_at, rule, delta: float, invariant: bool
     return per_t
 
 
-def probed_unit_integral(f: Integrand, delta: float, start_nodes: int = 4096,
-                         rel_tol: float = 1e-6, max_nodes: int = 2**18):
+def probed_unit_integral(f: Integrand, delta: float):
     """Integral plus a divergence verdict from shrinking the endpoint cut.
 
     Evaluates at cuts delta, delta/2, delta/4.  A convergent integral with
@@ -107,8 +106,7 @@ def probed_unit_integral(f: Integrand, delta: float, start_nodes: int = 4096,
     exact log divergence and conservatively sweeps in tail exponents
     below about 0.07.  Returns ``(value_at_delta, divergent)``.
     """
-    values = [adaptive_unit_integral(f, d, start_nodes, rel_tol, max_nodes)
-              for d in (delta, delta / 2.0, delta / 4.0)]
+    values = [adaptive_unit_integral(f, d) for d in (delta, delta / 2.0, delta / 4.0)]
     base = abs(values[0])
     d1 = values[1] - values[0]
     d2 = values[2] - values[1]

@@ -246,6 +246,9 @@ def _run_check(cfg, outdir):
     mode = _require(cfg, "mode", "")
     grid = _parse_grid(_require(cfg, "grid", ""))
     family = _parse_family(_require(cfg, "family", ""))
+    for key, other_mode in (("params", "moment"), ("p", "assumption")):
+        if mode == other_mode and key in cfg:
+            raise InvalidArgumentError(f"config key {key} does not apply to {mode} mode")
     if mode == "moment":
         report = check_moment_condition(family, grid, _float(_require(cfg, "p", ""), "p"))
     elif mode == "assumption":

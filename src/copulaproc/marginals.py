@@ -12,8 +12,8 @@ any law, atomic or not, into exact uniforms when v is an independent
 uniform.
 
 Families with unbounded support clamp quantile queries at u in {0, 1} to
-the configurable tail levels ``tail_eps`` and ``1 - tail_eps``; finite
-support endpoints are returned exactly.
+the tail levels 1e-12 and 1 - 1e-12; the level is fixed and is not a
+parameter.  Finite support endpoints are returned exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import InvalidArgumentError, UnsupportedOperationError
 from .grid import TimeGrid, grid_from_points
 from .serialize import write_matrix_csv
 
-_DEFAULT_TAIL_EPS = 1e-12
+_TAIL_EPS = 1e-12
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
@@ -81,11 +81,6 @@ class MarginalFamily:
     #: the law is the same at every t, so per-time quadratures integrate once
     time_invariant: bool = False
 
-    def __init__(self, tail_eps: float = _DEFAULT_TAIL_EPS):
-        if not 0.0 < tail_eps < 0.5:
-            raise InvalidArgumentError(f"tail_eps must lie in (0, 0.5), got {tail_eps}")
-        self.tail_eps = float(tail_eps)
-
     # ----- hooks ---------------------------------------------------------
     def _cdf(self, t: float, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -128,12 +123,12 @@ class MarginalFamily:
         cq = 1.0 - arr
         if np.isinf(lo):
             at0 = uq == 0.0
-            uq[at0] = self.tail_eps
-            cq[at0] = 1.0 - self.tail_eps
+            uq[at0] = _TAIL_EPS
+            cq[at0] = 1.0 - _TAIL_EPS
         if np.isinf(hi):
             at1 = uq == 1.0
-            uq[at1] = 1.0 - self.tail_eps
-            cq[at1] = self.tail_eps
+            uq[at1] = 1.0 - _TAIL_EPS
+            cq[at1] = _TAIL_EPS
         return _match(u, self._quantile(t, uq, cq))
 
     def quantile_tail(self, t, u, cu):
@@ -184,17 +179,16 @@ class GaussianScale(MarginalFamily):
     has_density = True
     is_continuous = True
 
-    def __init__(self, sigma=1.0, mean=0.0, tail_eps: float = _DEFAULT_TAIL_EPS):
-        super().__init__(tail_eps)
+    def __init__(self, sigma=1.0, mean=0.0):
         self.sigma = _as_time_fn(sigma, "sigma", 0.0)
         self.mean = _as_time_fn(mean, "mean")
         self.time_invariant = not (callable(sigma) or callable(mean))
 
     @classmethod
-    def power_law(cls, hurst: float, mean=0.0, tail_eps: float = _DEFAULT_TAIL_EPS):
+    def power_law(cls, hurst: float, mean=0.0):
         """sigma_t = t**hurst preset."""
         h = float(hurst)
-        return cls(sigma=lambda t: t ** h, mean=mean, tail_eps=tail_eps)
+        return cls(sigma=lambda t: t ** h, mean=mean)
 
     def _cdf(self, t, x):
         s = self.sigma(t)
@@ -246,15 +240,14 @@ class ExponentialScale(MarginalFamily):
     has_density = True
     is_continuous = True
 
-    def __init__(self, scale=1.0, tail_eps: float = _DEFAULT_TAIL_EPS):
-        super().__init__(tail_eps)
+    def __init__(self, scale=1.0):
         self.scale = _as_time_fn(scale, "scale", 0.0)
         self.time_invariant = not callable(scale)
 
     @classmethod
-    def power_law(cls, hurst: float, tail_eps: float = _DEFAULT_TAIL_EPS):
+    def power_law(cls, hurst: float):
         h = float(hurst)
-        return cls(scale=lambda t: t ** h, tail_eps=tail_eps)
+        return cls(scale=lambda t: t ** h)
 
     def _cdf(self, t, x):
         th = self.scale(t)
@@ -295,8 +288,7 @@ class Pareto(MarginalFamily):
     has_density = True
     is_continuous = True
 
-    def __init__(self, x_min: float, alpha, tail_eps: float = _DEFAULT_TAIL_EPS):
-        super().__init__(tail_eps)
+    def __init__(self, x_min: float, alpha):
         self.x_min = float(x_min)
         if not np.isfinite(self.x_min) or self.x_min <= 0.0:
             raise InvalidArgumentError(f"x_min must be positive, got {x_min}")
@@ -335,9 +327,7 @@ class Uniform(MarginalFamily):
     is_continuous = True
     time_invariant = True
 
-    def __init__(self, lo: float = 0.0, hi: float = 1.0,
-                 tail_eps: float = _DEFAULT_TAIL_EPS):
-        super().__init__(tail_eps)
+    def __init__(self, lo: float = 0.0, hi: float = 1.0):
         self.lo, self.hi = float(lo), float(hi)
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.hi > self.lo):
             raise InvalidArgumentError(f"need hi > lo, got lo={lo}, hi={hi}")
@@ -409,9 +399,7 @@ class ScaleMixtureGaussian(MarginalFamily):
     has_density = True
     is_continuous = True
 
-    def __init__(self, mixing: LognormalMixing, scale=1.0, n_quad: int = 64,
-                 tail_eps: float = _DEFAULT_TAIL_EPS):
-        super().__init__(tail_eps)
+    def __init__(self, mixing: LognormalMixing, scale=1.0, n_quad: int = 64):
         if n_quad < 2:
             raise InvalidArgumentError(f"n_quad must be >= 2, got {n_quad}")
         if not (np.isfinite(mixing.mean_inverse) and np.isfinite(mixing.mean_square)):
@@ -516,8 +504,7 @@ class Empirical(MarginalFamily):
     has_density = False
     is_continuous = False
 
-    def __init__(self, grid: TimeGrid, samples, tail_eps: float = _DEFAULT_TAIL_EPS):
-        super().__init__(tail_eps)
+    def __init__(self, grid: TimeGrid, samples):
         samples = np.array(samples, dtype=float)
         if samples.ndim != 2 or samples.shape[0] != grid.m or samples.shape[1] < 1:
             raise InvalidArgumentError(
@@ -529,10 +516,6 @@ class Empirical(MarginalFamily):
         self._columns.setflags(write=False)
         n = self._columns.shape[1]
         self._thresholds = np.arange(1, n + 1) / n
-
-    @property
-    def n_samples(self) -> int:
-        return self._columns.shape[1]
 
     def column(self, t: float) -> np.ndarray:
         """Sorted sample column attached to grid time t."""

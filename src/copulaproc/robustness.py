@@ -88,7 +88,6 @@ class RobustnessParams:
     minorant: Callable[[float, np.ndarray], np.ndarray]
     center: Callable[[float], float]
     halfwidth: Callable[[float], float]
-    minorant_tag: str = "custom"
 
     def __post_init__(self):
         rho(self.p, self.epsilon, self.q, self.beta)  # validates the box
@@ -114,8 +113,7 @@ def gaussian_minorant_params(family: GaussianScale, grid: TimeGrid, p: int = 1,
         lambda_floor=float(peak.min()),
         minorant=family.pdf,
         center=family.mean,
-        halfwidth=lambda t: 0.0,
-        minorant_tag="gaussian-density")
+        halfwidth=lambda t: 0.0)
 
 
 def pareto_minorant_params(family: Pareto, grid: TimeGrid, x0: float = 0.0,
@@ -138,8 +136,7 @@ def pareto_minorant_params(family: Pareto, grid: TimeGrid, x0: float = 0.0,
             lambda_floor=lam,
             minorant=family.pdf,
             center=lambda t: family.x_min,
-            halfwidth=lambda t: 0.0,
-            minorant_tag="pareto-density")
+            halfwidth=lambda t: 0.0)
     if x0 <= family.x_min:
         raise InvalidArgumentError(
             f"piecewise minorant needs x0 > x_min = {family.x_min}, got {x0}")
@@ -157,8 +154,7 @@ def pareto_minorant_params(family: Pareto, grid: TimeGrid, x0: float = 0.0,
         lambda_floor=lam,
         minorant=piecewise,
         center=lambda t: 0.0,
-        halfwidth=lambda t: x0,
-        minorant_tag=f"pareto-piecewise(x0={x0:g})")
+        halfwidth=lambda t: x0)
 
 
 def _tail_integral(family: MarginalFamily, params: RobustnessParams,
@@ -377,9 +373,8 @@ class CopulaBoundReport:
     lhs_se: float
 
 
-def _density_lattice_sup(family: MarginalFamily, grid: TimeGrid,
-                         budget: int = 10_000) -> float:
-    n_x = max(2, budget // grid.m)
+def _density_lattice_sup(family: MarginalFamily, grid: TimeGrid) -> float:
+    n_x = max(2, 10_000 // grid.m)
     u_lat = np.linspace(1e-6, 1.0 - 1e-6, n_x)
     best = 0.0
     for t in grid.points:

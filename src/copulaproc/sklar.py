@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from ._quadrature import per_time_integrals, probed_unit_integral
+from ._quadrature import adaptive_unit_integral, per_time_integrals, probed_unit_integral
 from .copulas import CopulaEnsemble
 from .errors import InvalidArgumentError
 from .grid import TimeGrid, integrate
@@ -112,7 +112,9 @@ def check_moment_condition(family: MarginalFamily, grid: TimeGrid,
     when shrinking delta keeps growing the result: a gain above 10% per
     halving (polynomial tails), or increments that fail to shrink
     (borderline logarithmic tails).  A divergent time reports
-    ``integral = inf`` and ``satisfied = False``.
+    ``integral = inf`` and ``satisfied = False``.  A family with bounded
+    support at every grid time has every moment finite, so it is
+    integrated at delta without the divergence probe.
     """
     if not np.isfinite(p) or p <= 0.0:
         raise InvalidArgumentError(f"p must be positive, got {p}")
@@ -120,7 +122,9 @@ def check_moment_condition(family: MarginalFamily, grid: TimeGrid,
     def integrand_at(t):
         return lambda u, cu: np.abs(family.quantile_tail(t, u, cu)) ** p
 
-    per_t = per_time_integrals(grid.points, integrand_at, probed_unit_integral,
+    bounded = all(np.isfinite(family.support(t)).all() for t in grid.points)
+    rule = adaptive_unit_integral if bounded else probed_unit_integral
+    per_t = per_time_integrals(grid.points, integrand_at, rule,
                                _MOMENT_DELTA, family.time_invariant)
     if per_t is None:
         return MomentReport(integral=float("inf"), satisfied=False)

@@ -76,19 +76,17 @@ def _quantile_gap(family_a: MarginalFamily, family_b: MarginalFamily, p: int):
 
 
 def wasserstein1d_quantile(family_a: MarginalFamily, family_b: MarginalFamily,
-                           t: float, p: int, nodes: int = 4096) -> float:
+                           t: float, p: int) -> float:
     """W_p between the time-t marginals via the quantile closed form.
 
-    ``nodes`` is the starting midpoint count; it doubles until the value
+    The quadrature starts at 4096 midpoints and doubles until the value
     settles to 1e-6 relative or the 2**18 cap is reached.
     """
     p = _check_p(p)
-    if not isinstance(nodes, (int, np.integer)) or nodes < 16:
-        raise InvalidArgumentError(f"nodes must be an integer >= 16, got {nodes!r}")
     if family_a is family_b:
         return 0.0
     integrand = _quantile_gap(family_a, family_b, p)(float(t))
-    power = adaptive_unit_integral(integrand, _TRANSPORT_DELTA, start_nodes=int(nodes))
+    power = adaptive_unit_integral(integrand, _TRANSPORT_DELTA)
     return float(power ** (1.0 / p))
 
 
@@ -107,21 +105,18 @@ def wasserstein1d_empirical(samples_a, samples_b, p: int) -> float:
 
 def pathspace_wasserstein_same_copula(family_a: MarginalFamily,
                                       family_b: MarginalFamily,
-                                      grid: TimeGrid, p: int,
-                                      nodes: int = 4096) -> TransportReport:
+                                      grid: TimeGrid, p: int) -> TransportReport:
     """Path-space W_p for processes sharing a copula.
 
     Computes per_t = W_p(F_A,t, F_B,t) on the grid and integrates the p-th
     powers over time; the Monte Carlo fields stay unset.
     """
     p = _check_p(p)
-    if not isinstance(nodes, (int, np.integer)) or nodes < 16:
-        raise InvalidArgumentError(f"nodes must be an integer >= 16, got {nodes!r}")
     if family_a is family_b:
         return TransportReport(p=p, integrated=0.0, per_t=np.zeros(grid.m))
     per_t = per_time_integrals(
         grid.points, _quantile_gap(family_a, family_b, p),
-        lambda f, delta: adaptive_unit_integral(f, delta, start_nodes=int(nodes)) ** (1.0 / p),
+        lambda f, delta: adaptive_unit_integral(f, delta) ** (1.0 / p),
         _TRANSPORT_DELTA, family_a.time_invariant and family_b.time_invariant)
     integrated = integrate(grid, per_t ** p) ** (1.0 / p)
     return TransportReport(p=p, integrated=float(integrated), per_t=per_t)

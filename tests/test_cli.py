@@ -379,6 +379,23 @@ def test_check_assumption_x0_is_pareto_only(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("mode, keys, key", [
+    ("assumption", {"p": 2}, "p"),
+    ("moment", {"p": 1, "params": {"p": 1, "epsilon": 1.0, "q": 2.0, "beta": 0.5}},
+     "params"),
+], ids=["assumption-p", "moment-params"])
+def test_check_rejects_the_other_modes_key(tmp_path, capsys, mode, keys, key):
+    cfg = {
+        "mode": mode,
+        "grid": {"a": 1.0, "b": 2.0, "m": 5},
+        "family": {"kind": "pareto", "x_min": 1.0, "alpha": 4.0},
+        **keys,
+    }
+    rc, _ = _run(tmp_path, "check", cfg)
+    assert rc == 2
+    assert f"config key {key} does not apply to {mode} mode" in capsys.readouterr().err
+
+
 def test_robustness_small_run(tmp_path):
     cfg = {
         "a": 1.0, "b": 2.0, "m": 9,

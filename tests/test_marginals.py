@@ -222,6 +222,13 @@ def test_quantile_clamps_only_at_open_ends():
     assert fam.quantile(0.0, 0.0) == 1.0
     fam2 = Uniform()
     assert fam2.quantile(0.0, 1.0) == 1.0  # closed end stays exact
+    # open ends clamp at the fixed level 1e-12
+    eps = 1e-12
+    for fam in (GaussianScale(2.0, -1.0), ExponentialScale(1.5), Pareto(1.0, 2.0),
+                ScaleMixtureGaussian(LognormalMixing(0.1, 0.3), 2.0)):
+        assert fam.quantile(0.5, 1.0) == fam.quantile_tail(0.5, 1.0 - eps, eps)
+        if np.isinf(fam.support(0.5)[0]):
+            assert fam.quantile(0.5, 0.0) == fam.quantile_tail(0.5, eps, 1.0 - eps)
 
 
 def test_family_validation():

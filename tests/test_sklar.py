@@ -130,6 +130,16 @@ def test_moment_condition_slow_but_convergent():
     assert_allclose(rep.integral, 5.0, rtol=5e-3)
 
 
+def test_moment_condition_bounded_support_is_finite():
+    # node doubling settles off the jump at P(0) = 0.49, so shrinking the
+    # endpoint cut moves the value by steps that mimic log divergence
+    grid = make_uniform_grid(0.0, 1.0, 2)
+    col = np.array([1.0] * 51 + [0.0] * 49)
+    rep = check_moment_condition(Empirical(grid, np.stack([col, col])), grid, 1.0)
+    assert rep.satisfied
+    assert abs(rep.integral - 0.51) < 1e-3
+
+
 def test_merge_shape_mismatch_rejected():
     cop = sample_comonotone(GRID, 4, seed=1)
     other = make_uniform_grid(0.0, 1.0, 9)
