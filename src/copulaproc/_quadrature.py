@@ -27,6 +27,10 @@ Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _START_NODES = 4096
 _REL_TOL = 1e-6
+#: endpoint ratio h(delta) / h(2 delta) = 2**kappa from which a tail counts
+#: as divergent: kappa = 1 - log2(1/0.95) ~ 0.926, where halving the cut
+#: gains increments that shrink by less than 5% per halving
+_TAIL_RATIO_MAX = 2.0 * 0.95
 
 
 def graded_midpoint_nodes(delta: float, n_nodes: int):
@@ -76,44 +80,32 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
 def per_time_integrals(points, integrand_at, rule, delta: float, invariant: bool):
     """``rule(integrand_at(t), delta)`` at every time t in ``points``.
 
-    ``rule`` returns a value, or a ``(value, divergent)`` pair as
-    ``probed_unit_integral`` does.  When ``invariant`` declares that the
-    integrand does not depend on t, it is integrated once at the first
-    time and that value is reported at every time.  Returns the per-time
-    values, or None as soon as one time diverges.
+    When ``invariant`` declares that the integrand does not depend on t,
+    it is integrated once at the first time and that value is reported at
+    every time.  Returns the per-time values, or None as soon as one time
+    integrates to +inf, as ``tail_checked_integral`` reports divergence.
     """
     per_t = np.empty(len(points))
     for j, t in enumerate(points[:1] if invariant else points):
-        result = rule(integrand_at(t), delta)
-        value, divergent = result if isinstance(result, tuple) else (result, False)
-        if divergent:
+        per_t[j] = rule(integrand_at(t), delta)
+        if per_t[j] == np.inf:
             return None
-        per_t[j] = value
     if invariant:
         per_t[1:] = per_t[0]
     return per_t
 
 
-def probed_unit_integral(f: Integrand, delta: float):
-    """Integral plus a divergence verdict from shrinking the endpoint cut.
+def tail_checked_integral(f: Integrand, delta: float) -> float:
+    """``adaptive_unit_integral(f, delta)``, or +inf for a divergent tail.
 
-    Evaluates at cuts delta, delta/2, delta/4.  A convergent integral with
-    tail exponent s gains increments shrinking by the factor 2**(-s) per
-    halving; a power-law divergence gains more than 10% outright; a
-    logarithmic divergence gains a constant increment (ratio 1).  The
-    verdict is divergent when the first increment is large, or when it is
-    non-negligible and the second shrinks by less than 5%, which flags
-    exact log divergence and conservatively sweeps in tail exponents
-    below about 0.07.  Returns ``(value_at_delta, divergent)``.
+    Near an endpoint a power-law integrand h(s) ~ s**(-kappa) has
+    h(delta) / h(2 delta) = 2**kappa, and int_0 h diverges for kappa >= 1.
+    The tail is declared divergent when h(delta) > 1.9 h(2 delta), that is
+    kappa > 0.926, at either end.  The comparison divides by nothing, so a
+    bounded or vanishing end (0 against 0) is never divergent.
     """
-    values = [adaptive_unit_integral(f, d) for d in (delta, delta / 2.0, delta / 4.0)]
-    base = abs(values[0])
-    d1 = values[1] - values[0]
-    d2 = values[2] - values[1]
-    divergent = False
-    if d1 > 0.10 * base:
-        divergent = True
-    elif d1 > 1e-4 * base and d2 >= 0.95 * d1:
-        # increments that refuse to shrink: at best log-divergent
-        divergent = True
-    return values[0], divergent
+    cut = np.array([delta, 2.0 * delta])
+    h = np.asarray(f(np.r_[cut, 1.0 - cut], np.r_[1.0 - cut, cut]), dtype=float)
+    if h[0] > _TAIL_RATIO_MAX * h[1] or h[2] > _TAIL_RATIO_MAX * h[3]:
+        return float("inf")
+    return adaptive_unit_integral(f, delta)

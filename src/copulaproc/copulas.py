@@ -219,6 +219,10 @@ class CopulaModel:
             if self.hurst is None:
                 raise InvalidArgumentError(f"{self.variant} model requires hurst")
             _check_hurst(self.hurst)
+        for name in ("theta", "t0"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise InvalidArgumentError(f"{name} must be finite, got {value}")
         if self.variant == "clayton" and (self.theta is None or self.theta <= 0.0):
             raise InvalidArgumentError("clayton model requires theta > 0")
         if self.t0 is not None and self.t0 <= 0.0:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quadrature import per_time_integrals, probed_unit_integral
+from ._quadrature import per_time_integrals, tail_checked_integral
 from .copulas import elliptical_pretransform
 from .errors import (AssumptionViolatedError, InvalidArgumentError,
                      NumericFailureError)
@@ -174,7 +174,7 @@ def _tail_integral(family: MarginalFamily, params: RobustnessParams,
     # time unless it is the family's density or declares ``time_invariant``
     minorant_invariant = (params.minorant == family.pdf
                           or getattr(params.minorant, "time_invariant", False))
-    per_t = per_time_integrals(grid.points, integrand_at, probed_unit_integral,
+    per_t = per_time_integrals(grid.points, integrand_at, tail_checked_integral,
                                _ROBUST_DELTA,
                                family.time_invariant and minorant_invariant)
     return float("inf") if per_t is None else integrate(grid, per_t)
@@ -197,7 +197,8 @@ def check_assumption(family_y: MarginalFamily, params: RobustnessParams,
     The x-lattice at each time covers the quantile range of levels
     [1e-6, 1 - 1e-6].  Monotonicity is checked branch-wise: nonincreasing
     to the right of the window, nondecreasing to the left.  The tail
-    integral is reported as +inf when the divergence probe trips.
+    integral is reported as +inf when ``tail_checked_integral`` finds a
+    divergent endpoint at some time.
     """
     if not family_y.has_density:
         raise InvalidArgumentError("assumption check requires a density")
@@ -255,7 +256,7 @@ def constant_K(params: RobustnessParams, family_y: MarginalFamily,
     def integrand_at(t):
         return lambda u, cu: np.abs(family_y.quantile_tail(t, u, cu)) ** exponent
 
-    per_t = per_time_integrals(grid.points, integrand_at, probed_unit_integral,
+    per_t = per_time_integrals(grid.points, integrand_at, tail_checked_integral,
                                _ROBUST_DELTA, family_y.time_invariant)
     if per_t is None:
         raise AssumptionViolatedError(

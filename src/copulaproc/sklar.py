@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from ._quadrature import adaptive_unit_integral, per_time_integrals, probed_unit_integral
+from ._quadrature import per_time_integrals, tail_checked_integral
 from .copulas import CopulaEnsemble
 from .errors import InvalidArgumentError
 from .grid import TimeGrid, integrate
@@ -108,13 +108,11 @@ def check_moment_condition(family: MarginalFamily, grid: TimeGrid,
     """Evaluate int_T E|X_t|**p dt by quantile quadrature.
 
     Each per-time integral int_0^1 |Q_t(u)|**p du runs on
-    u in [delta, 1 - delta] with delta = 1e-12.  Divergence is declared
-    when shrinking delta keeps growing the result: a gain above 10% per
-    halving (polynomial tails), or increments that fail to shrink
-    (borderline logarithmic tails).  A divergent time reports
-    ``integral = inf`` and ``satisfied = False``.  A family with bounded
-    support at every grid time has every moment finite, so it is
-    integrated at delta without the divergence probe.
+    u in [delta, 1 - delta] with delta = 1e-12 through
+    ``tail_checked_integral``: a time diverges when the integrand grows
+    by more than 1.9 between the cuts 2 delta and delta at either end,
+    i.e. like s**(-kappa) with kappa > 0.926.  A divergent time reports
+    ``integral = inf`` and ``satisfied = False``.
     """
     if not np.isfinite(p) or p <= 0.0:
         raise InvalidArgumentError(f"p must be positive, got {p}")
@@ -122,9 +120,7 @@ def check_moment_condition(family: MarginalFamily, grid: TimeGrid,
     def integrand_at(t):
         return lambda u, cu: np.abs(family.quantile_tail(t, u, cu)) ** p
 
-    bounded = all(np.isfinite(family.support(t)).all() for t in grid.points)
-    rule = adaptive_unit_integral if bounded else probed_unit_integral
-    per_t = per_time_integrals(grid.points, integrand_at, rule,
+    per_t = per_time_integrals(grid.points, integrand_at, tail_checked_integral,
                                _MOMENT_DELTA, family.time_invariant)
     if per_t is None:
         return MomentReport(integral=float("inf"), satisfied=False)

@@ -228,6 +228,16 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, command, cfg, named)
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, named", [
+    ({"variant": "comonotone", "t0": "nan"}, "t0"),
+    ({"variant": "clayton", "theta": "nan"}, "theta"),
+])
+def test_non_finite_model_value_exits_2(tmp_path, capsys, model, named):
+    rc, _ = _run(tmp_path, "simulate", dict(SIMULATE_CFG, model=model))
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "out")])

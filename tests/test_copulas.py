@@ -218,6 +218,11 @@ def test_copula_model_dispatch_and_validation():
         CopulaModel(variant="fbm")  # missing hurst
     with pytest.raises(InvalidArgumentError):
         CopulaModel(variant="clayton")  # missing theta
+    for bad in ({"variant": "fbm", "hurst": 0.5, "t0": np.nan},
+                {"variant": "clayton", "theta": np.nan},
+                {"variant": "independence", "theta": np.inf}):
+        with pytest.raises(InvalidArgumentError):
+            CopulaModel(**bad)
     with pytest.raises(InvalidArgumentError):
         model.sample(make_uniform_grid(0.5, 1.5, 3), 5, seed=1)  # starts before t0
 

@@ -13,7 +13,7 @@ from copulaproc import (AssumptionViolatedError, Empirical, ExperimentConfig,
                         gaussian_minorant_params, pareto_minorant_params, rho,
                         sample_fbm_copula, truncate)
 from copulaproc import robustness
-from copulaproc._quadrature import probed_unit_integral
+from copulaproc._quadrature import tail_checked_integral
 from copulaproc.copulas import elliptical_pretransform
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
@@ -105,9 +105,9 @@ def test_piecewise_minorant_tail_integrated_once_when_invariant(
 
     def counted(f, delta):
         calls.append(delta)
-        return probed_unit_integral(f, delta)
+        return tail_checked_integral(f, delta)
 
-    monkeypatch.setattr(robustness, "probed_unit_integral", counted)
+    monkeypatch.setattr(robustness, "tail_checked_integral", counted)
     rep = check_assumption(fam, params, GRID)
     assert len(calls) == expected_calls
     # the value is the one integrated at every time

@@ -8,7 +8,7 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         Uniform, check_moment_condition, extract_copula,
                         make_uniform_grid, merge, sample_comonotone,
                         sample_fbm_copula)
-from copulaproc import rng
+from copulaproc import _quadrature, rng
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
 
@@ -122,6 +122,26 @@ def test_moment_condition_divergent():
     assert rep.integral == np.inf
     rep = check_moment_condition(Pareto(1.0, 1.0), GRID, 2.0)
     assert not rep.satisfied
+    # endpoint exponents p / alpha on either side of the 0.926 margin
+    rep = check_moment_condition(Pareto(1.0, 1.1), GRID, 1.0)
+    assert rep.satisfied and np.isfinite(rep.integral)
+    rep = check_moment_condition(Pareto(1.0, 1.05), GRID, 1.0)
+    assert not rep.satisfied
+    assert rep.integral == np.inf
+
+
+def test_moment_condition_integrates_once_per_time(monkeypatch):
+    calls = []
+    integral = _quadrature.adaptive_unit_integral
+
+    def counted(f, delta):
+        calls.append(delta)
+        return integral(f, delta)
+
+    monkeypatch.setattr(_quadrature, "adaptive_unit_integral", counted)
+    rep = check_moment_condition(Pareto(1.0, lambda t: 3.0 + t), GRID, 1.0)
+    assert rep.satisfied
+    assert len(calls) == GRID.m
 
 
 def test_moment_condition_slow_but_convergent():
