@@ -32,13 +32,22 @@ _REL_TOL = 1e-6
 #: gains increments that shrink by less than 5% per halving
 _TAIL_RATIO_MAX = 2.0 * 0.95
 
+#: node ladder of the most recent delta: n_nodes -> read-only (u, cu).  Node
+#: doubling asks for the same few sizes at every grid time and in every
+#: integral, so one ladder (4096 ... 2**18 nodes, about 8.3 MB) is kept and a
+#: new delta replaces it.
+_ladder_delta = None
+_ladder = {}
+
 
 def graded_midpoint_nodes(delta: float, n_nodes: int):
     """Midpoint nodes and weights on (delta, 1 - delta).
 
     Returns (u, cu, w) with cu = 1 - u held at full relative precision and
-    weights summing to 1 - 2*delta up to rounding.
+    weights summing to 1 - 2*delta up to rounding.  u and cu are shared
+    between calls and read-only; w is a fresh array.
     """
+    global _ladder_delta
     if not 0.0 < delta < 0.5:
         raise InvalidArgumentError(f"delta must lie in (0, 0.5), got {delta}")
     if n_nodes < 2:
@@ -46,9 +55,16 @@ def graded_midpoint_nodes(delta: float, n_nodes: int):
     # y-range solves (1 + tanh Y)/2 = 1 - delta
     y_max = 0.5 * np.log((1.0 - delta) / delta)
     h = 2.0 * y_max / n_nodes
-    y = -y_max + (np.arange(n_nodes) + 0.5) * h
-    u = expit(2.0 * y)
-    cu = expit(-2.0 * y)
+    if delta != _ladder_delta:
+        _ladder.clear()
+        _ladder_delta = delta
+    if n_nodes not in _ladder:
+        y = -y_max + (np.arange(n_nodes) + 0.5) * h
+        nodes = (expit(2.0 * y), expit(-2.0 * y))
+        for arr in nodes:
+            arr.setflags(write=False)
+        _ladder[n_nodes] = nodes
+    u, cu = _ladder[n_nodes]
     w = 2.0 * h * u * cu
     return u, cu, w
 

@@ -89,6 +89,10 @@ class MarginalFamily:
         # continuous families have no atoms
         return self._cdf(t, x)
 
+    def _cdf_limits(self, t: float, x: np.ndarray):
+        """(F_t(x-), F_t(x)), the two limits the distributional transform uses."""
+        return self._cdf_left(t, x), self._cdf(t, x)
+
     def _quantile(self, t: float, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
         """Quantile given u and its complement; called with u in (0, 1)
         except where a finite support endpoint makes the limit exact."""
@@ -151,8 +155,7 @@ class MarginalFamily:
         xarr = np.asarray(x, dtype=float)
         if xarr.shape != varr.shape:
             raise InvalidArgumentError("x and v must have matching shapes")
-        left = self._cdf_left(float(t), np.atleast_1d(xarr))
-        right = self._cdf(float(t), np.atleast_1d(xarr))
+        left, right = self._cdf_limits(float(t), np.atleast_1d(xarr))
         out = left + np.atleast_1d(varr) * (right - left)
         return _match(x, out)
 
@@ -302,8 +305,11 @@ class Pareto(MarginalFamily):
 
     def _quantile(self, t, u, cu):
         a = self.alpha(t)
+        q = np.maximum(cu, 1e-320)
         with np.errstate(divide="ignore"):
-            return self.x_min * np.maximum(cu, 1e-320) ** (-1.0 / a)
+            q **= -1.0 / a
+        q *= self.x_min
+        return q
 
     def _pdf(self, t, x):
         a = self.alpha(t)
@@ -420,14 +426,24 @@ class ScaleMixtureGaussian(MarginalFamily):
 
     # ----- unit-scale mixture functions ---------------------------------
     def _f0_block(self, z, func) -> np.ndarray:
-        """Mixture average of func(z / s) over the quadrature scales s."""
+        """Mixture average of func(z / s) over the quadrature scales s.
+
+        Rows go in blocks of 2048 inside each run of 65536, so each
+        (rows, n_quad) temporary stays near 1 MB.  numpy sends a one-row
+        product to its dot kernel, which sums in another order than the
+        matrix-vector kernel, so a trailing single row joins the block
+        before it, unless it starts a run of 65536 and so has always gone
+        alone.  Every row keeps the value of one block per 65536 rows.
+        """
         z = np.asarray(z, dtype=float)
         flat = z.ravel()
         out = np.empty_like(flat)
-        step = 65536
-        for start in range(0, flat.size, step):
-            block = flat[start:start + step, None] / self._mix_s[None, :]
-            out[start:start + step] = func(block) @ self._mix_w
+        for top in range(0, flat.size, 65536):
+            stop = min(top + 65536, flat.size)
+            starts = range(top, max(stop - 1, top + 1), 2048)
+            for start, end in zip(starts, [*starts[1:], stop]):
+                block = flat[start:end, None] / self._mix_s[None, :]
+                out[start:end] = func(block) @ self._mix_w
         return out.reshape(z.shape)
 
     def _cdf0(self, z: np.ndarray) -> np.ndarray:
@@ -515,7 +531,9 @@ class Empirical(MarginalFamily):
         self._columns = np.sort(samples, axis=1)
         self._columns.setflags(write=False)
         n = self._columns.shape[1]
-        self._thresholds = np.arange(1, n + 1) / n
+        # levels k/n of the first n - 1 jumps; u above the last one maps to
+        # the largest order statistic
+        self._thresholds = np.arange(1, n) / n
 
     def column(self, t: float) -> np.ndarray:
         """Sorted sample column attached to grid time t."""
@@ -529,30 +547,37 @@ class Empirical(MarginalFamily):
                 return j
         raise InvalidArgumentError(f"t={t!r} is not a grid point of this family")
 
-    def _rank_fraction(self, t, x, side):
-        """searchsorted(column, x, side) / n, searched in sorted query order.
+    def _rank_fractions(self, t, x, sides):
+        """searchsorted(column, x, side) / n for each side, in sorted query order.
 
         Queries in ascending order walk the column once instead of jumping
         across it, so one argsort plus a scatter back is cheaper than
         searching large random-order queries directly; the ranks are equal.
+        The one argsort serves every side asked for.
         """
         col = self._columns[self._col_index(t)]
         flat = x.ravel()
         order = np.argsort(flat)
-        ranks = np.empty(flat.size, dtype=np.intp)
-        ranks[order] = np.searchsorted(col, flat[order], side=side)
-        return ranks.reshape(x.shape) / col.size
+        ordered = flat[order]
+        fractions = []
+        for side in sides:
+            ranks = np.empty(flat.size, dtype=np.intp)
+            ranks[order] = np.searchsorted(col, ordered, side=side)
+            fractions.append(ranks.reshape(x.shape) / col.size)
+        return fractions
 
     def _cdf(self, t, x):
-        return self._rank_fraction(t, x, "right")
+        return self._rank_fractions(t, x, ("right",))[0]
 
     def _cdf_left(self, t, x):
-        return self._rank_fraction(t, x, "left")
+        return self._rank_fractions(t, x, ("left",))[0]
+
+    def _cdf_limits(self, t, x):
+        return self._rank_fractions(t, x, ("left", "right"))
 
     def _quantile(self, t, u, cu):
         col = self._columns[self._col_index(t)]
-        idx = np.searchsorted(self._thresholds, u, side="left")
-        return col[np.minimum(idx, col.size - 1)]
+        return col[np.searchsorted(self._thresholds, u, side="left")]
 
     def support(self, t):
         col = self._columns[self._col_index(float(t))]

@@ -70,7 +70,9 @@ def _quantile_gap(family_a: MarginalFamily, family_b: MarginalFamily, p: int):
     def integrand_at(t):
         def integrand(u, cu):
             diff = family_a.quantile_tail(t, u, cu) - family_b.quantile_tail(t, u, cu)
-            return np.abs(diff) ** p
+            np.abs(diff, out=diff)
+            diff **= p
+            return diff
         return integrand
     return integrand_at
 

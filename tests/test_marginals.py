@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         InvalidArgumentError, LognormalMixing, Pareto,
@@ -128,6 +133,28 @@ def test_empirical_ranks_match_plain_searchsorted():
     assert isinstance(fam.cdf(0.0, 2.0), float)
 
 
+def test_empirical_distributional_transform_sorts_once(monkeypatch):
+    g = make_uniform_grid(0.0, 1.0, 2)
+    rng = np.random.default_rng(2)
+    fam = Empirical(g, rng.integers(0, 5, size=(2, 100)).astype(float))
+    x = rng.integers(-1, 6, size=(5, 10)).astype(float)
+    v = rng.uniform(size=x.shape)
+    sorted_sizes = []
+    argsort = np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    out = fam.distributional_transform(0.0, x, v)
+    assert sorted_sizes == [x.size]
+    col = fam.column(0.0)
+    left = np.searchsorted(col, x, side="left") / col.size
+    right = np.searchsorted(col, x, side="right") / col.size
+    assert np.array_equal(out, left + v * (right - left))
+
+
 def test_empirical_csv_roundtrip_exact(tmp_path):
     g = make_uniform_grid(0.25, 0.75, 3)
     rng = np.random.default_rng(5)
@@ -197,6 +224,59 @@ def test_scale_mixture_cdf_against_dense_quadrature():
     dense = ScaleMixtureGaussian(mix, n_quad=256)
     z = np.linspace(-8.0, 8.0, 321)
     assert np.max(np.abs(fam.cdf(0.0, z) - dense.cdf(0.0, z))) < 1e-5
+
+
+#: one row, a few rows, one past a 2048-row block, the 16,385-point quantile
+#: table, and one row past one and two runs of 65536
+MIXTURE_SIZES = (1, 2, 3, 2049, 16385, 20000, 65537, 131073)
+
+
+def _mixture_in_65536_row_blocks(path):
+    """cdf, pdf and quantile table of the mixture, one product per 65536 rows."""
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=2.0)
+    s, w = fam._mix_s, fam._mix_w
+    sqrt_2pi = float(np.sqrt(2.0 * np.pi))
+
+    def blocked(z, func):
+        out = np.empty_like(z)
+        for start in range(0, z.size, 65536):
+            block = z[start:start + 65536, None] / s[None, :]
+            out[start:start + 65536] = func(block) @ w
+        return out
+
+    def density(block):
+        return np.exp(-0.5 * block * block) / (sqrt_2pi * s[None, :])
+
+    z_max = float(s.max()) * abs(ndtri(1e-14)) * 1.05
+    ref = {"table": blocked(np.linspace(-z_max, z_max, 16385), ndtr)}
+    rng = np.random.default_rng(12)
+    for n in MIXTURE_SIZES:
+        x = 3.0 * rng.standard_normal(n)
+        ref[f"x{n}"] = x
+        ref[f"cdf{n}"] = blocked(x / 2.0, ndtr)
+        ref[f"pdf{n}"] = blocked(x / 2.0, density) / 2.0
+    np.savez(path, **ref)
+
+
+def test_scale_mixture_blocks_keep_the_65536_row_values_bitwise(tmp_path):
+    # The reference runs with one BLAS thread: with several, the 65536-row
+    # product's own last bits move with how the BLAS splits the rows (on
+    # two threads, the last of 16,385 rows moves by one ulp), while 2048-row
+    # blocks give the same values on one thread and on several.
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    path = tmp_path / "ref.npz"
+    code = (f"import sys; sys.path[:0] = [{tests_dir!r}, {src_dir!r}]; "
+            f"import test_marginals; test_marginals._mixture_in_65536_row_blocks({str(path)!r})")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=300,
+                   env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    ref = np.load(path)
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=2.0)
+    assert np.array_equal(fam._quantile_table()[1], ref["table"])
+    for n in MIXTURE_SIZES:
+        x = ref[f"x{n}"]
+        assert np.array_equal(fam.cdf(0.0, x), ref[f"cdf{n}"]), n
+        assert np.array_equal(fam.pdf(0.0, x), ref[f"pdf{n}"]), n
 
 
 def test_scale_mixture_symmetry_and_roundtrip():

@@ -1,5 +1,6 @@
 """Projective consistency: restricting to the first k grid points commutes
-with sampling and with copula extraction.
+with sampling and with copula extraction, and sampling on a sub-grid gives
+the law of the matching columns.
 
 The finite-dimensional copulas of a process on path space must agree under
 coordinate projection.  Every sampler draws a path's coordinates in grid
@@ -74,3 +75,30 @@ def test_extraction_commutes_with_restriction_empirical():
         restricted = extract_copula(_restrict(process, k),
                                     Empirical(_prefix(k), samples[:k]), aux_seed=5)
         assert np.array_equal(restricted.paths, full[:, :k])
+
+
+#: paths for the sub-grid law comparison
+N_LAW = 4000
+#: v for the empirical copula CDF C(v, ..., v) on the 17-point sub-grid
+LEVELS = (0.3, 0.5, 0.7, 0.9)
+
+
+@pytest.mark.parametrize("name", ["fbm", "elliptical"])
+def test_sampling_on_an_every_other_point_grid_gives_the_law_of_those_columns(name):
+    # The Gaussian samplers draw through a Cholesky factor of the grid's
+    # covariance, so a sub-grid that is not a prefix gives other paths of
+    # the same law.  Bound: 3 standard errors of a difference of two
+    # proportions, treating the samples as independent, although both draw
+    # from the same per-path streams.
+    sample = {
+        "fbm": lambda g: sample_fbm_copula(g, 0.3, N_LAW, SEED),
+        "elliptical": lambda g: sample_elliptical_copula(
+            g, 0.7, LognormalMixing(0.0, 0.5), N_LAW, SEED),
+    }[name]
+    columns = sample(GRID).paths[:, ::2]
+    sub = sample(grid_from_points(GRID.points[::2])).paths
+    for v in LEVELS:
+        a = np.mean(np.all(sub <= v, axis=1))
+        b = np.mean(np.all(columns <= v, axis=1))
+        pooled = 0.5 * (a + b)
+        assert abs(a - b) <= 3.0 * np.sqrt(2.0 * pooled * (1.0 - pooled) / N_LAW), (v, a, b)

@@ -1,6 +1,16 @@
-import numpy as np
+import gc
+import weakref
 
-from copulaproc._quadrature import per_time_integrals
+import numpy as np
+import pytest
+from scipy.special import expit
+
+from copulaproc import _quadrature
+from copulaproc._quadrature import (adaptive_unit_integral, graded_midpoint_nodes,
+                                    per_time_integrals)
+from copulaproc.robustness import _ROBUST_DELTA
+from copulaproc.sklar import _MOMENT_DELTA
+from copulaproc.transport import _TRANSPORT_DELTA
 
 POINTS = np.array([0.0, 0.5, 1.0])
 
@@ -36,3 +46,53 @@ def test_first_divergent_time_stops_the_loop():
     rule, calls = _counting(lambda f, delta: np.inf)
     assert per_time_integrals(POINTS, lambda t: t, rule, 1e-9, True) is None
     assert calls == [0.0]
+
+
+def _fresh_nodes(delta, n_nodes):
+    """The node rule built from scratch, as before the ladder was kept."""
+    y_max = 0.5 * np.log((1.0 - delta) / delta)
+    h = 2.0 * y_max / n_nodes
+    y = -y_max + (np.arange(n_nodes) + 0.5) * h
+    u = expit(2.0 * y)
+    cu = expit(-2.0 * y)
+    return u, cu, 2.0 * h * u * cu
+
+
+@pytest.mark.parametrize("delta", [_TRANSPORT_DELTA, _MOMENT_DELTA, _ROBUST_DELTA])
+def test_cached_nodes_equal_a_fresh_build_bitwise(delta):
+    for n in (4096, 8192, 2**18):
+        fresh = _fresh_nodes(delta, n)
+        for _ in range(2):  # the first call builds, the second reads the ladder
+            for got, want in zip(graded_midpoint_nodes(delta, n), fresh):
+                assert np.array_equal(got, want)
+
+
+def test_cached_nodes_are_read_only():
+    mean = adaptive_unit_integral(lambda u, cu: u, _TRANSPORT_DELTA)
+    u, cu, w = graded_midpoint_nodes(_TRANSPORT_DELTA, 4096)
+    with pytest.raises(ValueError):
+        u[0] = 0.5
+    with pytest.raises(ValueError):
+        cu *= 2.0
+    w[0] = 0.0  # the weights are the caller's own
+
+    def corrupting(u, cu):
+        u *= 0.5
+        return u
+
+    with pytest.raises(ValueError):
+        adaptive_unit_integral(corrupting, _TRANSPORT_DELTA)
+    assert np.array_equal(graded_midpoint_nodes(_TRANSPORT_DELTA, 4096)[0],
+                          _fresh_nodes(_TRANSPORT_DELTA, 4096)[0])
+    assert adaptive_unit_integral(lambda u, cu: u, _TRANSPORT_DELTA) == mean
+
+
+def test_a_new_delta_drops_the_old_ladder():
+    u = graded_midpoint_nodes(_MOMENT_DELTA, 4096)[0]
+    assert graded_midpoint_nodes(_MOMENT_DELTA, 4096)[0] is u
+    kept = weakref.ref(u)
+    del u
+    graded_midpoint_nodes(_ROBUST_DELTA, 4096)
+    gc.collect()
+    assert kept() is None
+    assert set(_quadrature._ladder) == {4096}
