@@ -297,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the config's master seed (u64)")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker budget; affects speed only, never results")
+                         help="accepted for interface stability; execution is "
+                              "single-threaded and outputs are the same for any value")
     return parser
 
 

@@ -449,10 +449,6 @@ class ScaleMixtureGaussian(MarginalFamily):
     def _cdf0(self, z: np.ndarray) -> np.ndarray:
         return self._f0_block(z, ndtr)
 
-    def _sf0(self, z: np.ndarray) -> np.ndarray:
-        """Survival function 1 - F0 without cancellation."""
-        return self._cdf0(-np.asarray(z, dtype=float))
-
     def _pdf0(self, z: np.ndarray) -> np.ndarray:
         return self._f0_block(z, lambda block: np.exp(-0.5 * block * block)
                               / (_SQRT_2PI * self._mix_s[None, :]))
@@ -478,9 +474,14 @@ class ScaleMixtureGaussian(MarginalFamily):
                 return hit[2].copy()
         zs, Fs = self._quantile_table()
         z = np.clip(np.interp(u, Fs, zs), zs[0], zs[-1])
+        # F0(z) below the median and 1 - F0(z) = F0(-z) above it, in one
+        # pass: each entry keeps its row, so it gets the value a pass over
+        # all of z, or all of -z, would give it
+        lower = u <= 0.5
         for _ in range(4):
             dens = np.maximum(self._pdf0(z), 1e-300)
-            resid = np.where(u <= 0.5, self._cdf0(z) - u, cu - self._sf0(z))
+            tail = self._cdf0(np.where(lower, z, -z))
+            resid = np.where(lower, tail - u, cu - tail)
             z = np.clip(z - resid / dens, zs[0], zs[-1])
         if memoize:
             self._q0_memo[u.size] = (u.copy(), cu.copy(), z.copy())

@@ -21,12 +21,7 @@ from .errors import InvalidArgumentError
 
 def format_float(x: float) -> str:
     """17 significant digits; non-finite values as inf / -inf / nan."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    return f"{float(x):.17g}"
 
 
 def to_jsonable(obj):
@@ -124,14 +119,23 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_matrix_csv(path, times, matrix) -> None:
-    """Paths-by-times matrix under a header row of grid times."""
+    """Paths-by-times matrix under a header row of grid times.
+
+    ``"%.17g" % x`` gives the bytes of ``format_float(x)`` for every
+    float64, non-finite values included, so one row format serves the
+    header and every row; rows are written 1024 at a time.
+    """
     matrix = np.asarray(matrix, dtype=float)
     times = np.asarray(times, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] != times.size:
         raise InvalidArgumentError(
             f"matrix of shape {matrix.shape} does not match {times.size} times")
-    header = [format_float(t) for t in times]
-    write_csv(path, header, matrix)
+    row = ",".join(["%.17g"] * times.size) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(row % tuple(times.tolist()))
+        for start in range(0, matrix.shape[0], 1024):
+            fh.write("".join([row % tuple(r)
+                              for r in matrix[start:start + 1024].tolist()]))
 
 
 def sha256_file(path) -> str:

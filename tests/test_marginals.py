@@ -279,6 +279,51 @@ def test_scale_mixture_blocks_keep_the_65536_row_values_bitwise(tmp_path):
         assert np.array_equal(fam.pdf(0.0, x), ref[f"pdf{n}"]), n
 
 
+def _two_pass_newton_quantile(fam, t, u):
+    """The mixture quantile with F0(z) and F0(-z) each taken over every entry."""
+    u = np.asarray(u, dtype=float)
+    cu = 1.0 - u
+    zs, Fs = fam._quantile_table()
+    z = np.clip(np.interp(u, Fs, zs), zs[0], zs[-1])
+    for _ in range(4):
+        dens = np.maximum(fam._pdf0(z), 1e-300)
+        resid = np.where(u <= 0.5, fam._cdf0(z) - u, cu - fam._cdf0(-z))
+        z = np.clip(z - resid / dens, zs[0], zs[-1])
+    return fam.scale(t) * z
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2049, 5000, 16385, 65537])
+def test_scale_mixture_one_pass_residual_matches_two_pass_bitwise(n):
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=2.0)
+    rng = np.random.default_rng(n)
+    u = rng.uniform(0.0, 1.0, n)
+    # one entry above the median, then the median, which takes the lower branch
+    u[:2] = [0.8, 0.5][:n]
+    assert np.array_equal(fam.quantile(0.0, u), _two_pass_newton_quantile(fam, 0.0, u))
+    u2 = rng.uniform(0.0, 1.0, (3, 700))
+    assert np.array_equal(fam.quantile(0.0, u2), _two_pass_newton_quantile(fam, 0.0, u2))
+
+
+def test_scale_mixture_newton_step_takes_two_mixture_passes(monkeypatch):
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
+    fam._quantile_table()
+    calls = []
+    block = ScaleMixtureGaussian._f0_block
+
+    def spy(self, z, func):
+        calls.append(np.size(z))
+        return block(self, z, func)
+
+    monkeypatch.setattr(ScaleMixtureGaussian, "_f0_block", spy)
+    u = np.random.default_rng(3).uniform(0.0, 1.0, 5000)
+    fam.quantile(0.0, u)
+    # four Newton steps, each one density and one CDF pass
+    assert calls == [5000] * 8
+    calls.clear()
+    _two_pass_newton_quantile(fam, 0.0, u)
+    assert len(calls) == 12
+
+
 def test_scale_mixture_symmetry_and_roundtrip():
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
     z = np.linspace(0.1, 6.0, 25)
