@@ -11,6 +11,13 @@ there for every integrable tail.
 Integrands receive both u and 1 - u.  The complement is computed directly
 from y through a logistic, so tail quantiles can be evaluated stably even
 when u rounds to 1.0 in double precision.
+
+A step quantile, such as that of an empirical law, jumps at its levels, and
+the midpoint rule converges slowly and falsely across jumps.  Integrals of
+step quantiles are therefore taken segment by segment: two step quantiles,
+or one alone, give finite sums, and a step against a smooth quantile gets
+Gauss-Legendre nodes on each level segment plus the graded rule on the two
+end segments (``step_gap_integral``).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, roots_legendre
 
 from .errors import InvalidArgumentError, NumericFailureError
 
@@ -93,17 +100,17 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
         n *= 2
 
 
-def per_time_integrals(points, integrand_at, rule, delta: float, invariant: bool):
-    """``rule(integrand_at(t), delta)`` at every time t in ``points``.
+def per_time_integrals(points, value_at, invariant: bool):
+    """``value_at(t)``, one integral, at every time t in ``points``.
 
-    When ``invariant`` declares that the integrand does not depend on t,
-    it is integrated once at the first time and that value is reported at
+    When ``invariant`` declares that the integral does not depend on t,
+    it is evaluated once at the first time and that value is reported at
     every time.  Returns the per-time values, or None as soon as one time
     integrates to +inf, as ``tail_checked_integral`` reports divergence.
     """
     per_t = np.empty(len(points))
     for j, t in enumerate(points[:1] if invariant else points):
-        per_t[j] = rule(integrand_at(t), delta)
+        per_t[j] = value_at(t)
         if per_t[j] == np.inf:
             return None
     if invariant:
@@ -125,3 +132,132 @@ def tail_checked_integral(f: Integrand, delta: float) -> float:
     if h[0] > _TAIL_RATIO_MAX * h[1] or h[2] > _TAIL_RATIO_MAX * h[3]:
         return float("inf")
     return adaptive_unit_integral(f, delta)
+
+
+# ----- step quantiles --------------------------------------------------------
+
+#: Gauss-Legendre nodes on (0, 1), their complements and weights, for one
+#: level segment of a step quantile
+_SEGMENT_NODES = 8
+_GAUSS_X, _GAUSS_W = roots_legendre(_SEGMENT_NODES)
+_GAUSS_U, _GAUSS_CU, _GAUSS_W = (1.0 + _GAUSS_X) / 2.0, (1.0 - _GAUSS_X) / 2.0, _GAUSS_W / 2.0
+
+
+def step_power_integral(levels, values, p: float) -> float:
+    """int_0^1 |S(u)|**p du for the step function S of ``levels`` and ``values``.
+
+    S equals values[i] on (levels[i-1], levels[i]], with the ends of the
+    unit interval taking the places of levels[-1] and levels[n-1], so the
+    integral is a finite sum with no endpoint cut.
+    """
+    widths = np.diff(levels, prepend=0.0, append=1.0)
+    return float(widths @ np.abs(values) ** p)
+
+
+def merge_steps(levels_a, values_a, levels_b, values_b):
+    """(levels, values) of the step function S_A - S_B on the union of levels."""
+    levels = np.union1d(levels_a, levels_b)
+    right = np.append(levels, 1.0)  # right end of each merged segment
+    return levels, (values_a[np.searchsorted(levels_a, right)]
+                    - values_b[np.searchsorted(levels_b, right)])
+
+
+class _StepNodes:
+    """Read-only nodes of one set of jump levels and one endpoint cut.
+
+    Interior segments (levels[i-1], levels[i]) get ``_SEGMENT_NODES``
+    Gauss-Legendre nodes each, and the levels themselves follow them, so one
+    quantile call per time covers both.  The two end segments (delta,
+    levels[0]) and (levels[-1], 1 - delta) share one graded rule in s on
+    (delta_s, 1 - delta_s): u = c_lo s below and 1 - u = c_hi s above, so
+    the complement keeps its relative precision at the upper cut.
+    """
+
+    def __init__(self, levels, delta):
+        self.levels, self.delta = levels.copy(), delta
+        lo, hi = levels[:-1, None], levels[1:, None]
+        width = hi - lo
+        self.interior = width.size * _SEGMENT_NODES
+        self.u = np.concatenate([(lo + width * _GAUSS_U).ravel(), levels])
+        self.cu = np.concatenate([((1.0 - hi) + width * _GAUSS_CU).ravel(), 1.0 - levels])
+        self.weights = (width * _GAUSS_W).ravel()
+        self.c_lo = levels[0] + delta
+        self.delta_s = delta / self.c_lo
+        self.c_hi = (1.0 - levels[-1]) / (1.0 - self.delta_s)
+        self._ends = {}
+        for arr in (self.u, self.cu, self.weights):
+            arr.setflags(write=False)
+
+    def end_nodes(self, s):
+        """Read-only (u, cu) of both end segments at the graded nodes s."""
+        if s.size not in self._ends:
+            below, above = self.c_lo * s, self.c_hi * s
+            nodes = (np.concatenate([below, 1.0 - above]),
+                     np.concatenate([1.0 - below, above]))
+            for arr in nodes:
+                arr.setflags(write=False)
+            self._ends[s.size] = nodes
+        return self._ends[s.size]
+
+
+#: nodes of the most recent step levels and delta.  Every grid time of an
+#: empirical family has the same levels, so the node set, like the ladder,
+#: is built once and handed to the other quantile as the same arrays.
+_step_nodes = None
+
+
+def _nodes_for(levels, delta) -> _StepNodes:
+    global _step_nodes
+    cached = _step_nodes
+    if cached is None or cached.delta != delta or not np.array_equal(cached.levels, levels):
+        cached = _step_nodes = _StepNodes(levels, delta)
+    return cached
+
+
+def step_gap_integral(levels, values, quantile, cdf, p: float, delta: float) -> float:
+    """int_delta^{1-delta} |S(u) - Q(u)|**p du for a step S against a smooth Q.
+
+    S is the step function of ``levels`` and ``values`` (see
+    ``step_power_integral``), ``quantile(u, cu)`` a continuous quantile Q
+    and ``cdf`` its CDF.  No rule integrates across a jump of S: each
+    interior level segment gets 8 fixed Gauss-Legendre nodes, and a segment
+    on which S - Q changes sign is split at u* = F(S) into two halves of 8
+    nodes each, so the kink of |S - Q| lies on a boundary.  The two end
+    segments, where Q may be unbounded, go through
+    ``adaptive_unit_integral``.  Q is called on shared read-only arrays
+    except at the split halves.
+    """
+    if values.size == 1:
+        v = values[0]
+        return adaptive_unit_integral(lambda u, cu: np.abs(v - quantile(u, cu)) ** p, delta)
+    nodes = _nodes_for(levels, delta)
+    q = quantile(nodes.u, nodes.cu)
+    inner = values[1:-1]
+    gaps = inner[:, None] - q[:nodes.interior].reshape(-1, _SEGMENT_NODES)
+    np.abs(gaps, out=gaps)
+    gaps **= p
+    # Q rises across a segment and S stays level, so S - Q can only cross
+    # zero downwards
+    at_levels = q[nodes.interior:]
+    crossing = np.flatnonzero((inner > at_levels[:-1]) & (inner < at_levels[1:]))
+    gaps[crossing] = 0.0
+    total = float(nodes.weights @ gaps.ravel())
+    if crossing.size:
+        a, b, x = levels[crossing, None], levels[crossing + 1, None], inner[crossing, None]
+        star = np.clip(np.asarray(cdf(x[:, 0]), dtype=float)[:, None], a, b)
+        halves_u = np.concatenate([a + (star - a) * _GAUSS_U, star + (b - star) * _GAUSS_U])
+        halves_cu = np.concatenate([(1.0 - star) + (star - a) * _GAUSS_CU,
+                                    (1.0 - b) + (b - star) * _GAUSS_CU])
+        halves_w = np.concatenate([star - a, b - star]) * _GAUSS_W
+        split = np.abs(np.concatenate([x, x]) - quantile(halves_u, halves_cu)) ** p
+        total += float(np.sum(halves_w * split))
+
+    ends = values[[0, -1], None]
+
+    def end_segments(s, cs):
+        u, cu = nodes.end_nodes(s)
+        gap = np.abs(ends - quantile(u, cu).reshape(2, -1))
+        gap **= p
+        return nodes.c_lo * gap[0] + nodes.c_hi * gap[1]
+
+    return total + adaptive_unit_integral(end_segments, nodes.delta_s)

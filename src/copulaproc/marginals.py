@@ -105,6 +105,17 @@ class MarginalFamily:
         """(lower, upper) endpoints of the time-t support; +-inf if unbounded."""
         raise NotImplementedError
 
+    def quantile_steps(self, t: float):
+        """(levels, values) when the time-t quantile is a step function.
+
+        ``levels`` are the ascending jump levels in (0, 1) and ``values``
+        the steps, one more than the levels: the quantile equals values[i]
+        on (levels[i-1], levels[i]], with levels[-1] = 0 and levels[n-1] = 1
+        read as the ends of the unit interval.  Quadratures use it to avoid
+        integrating across a jump.  None for a quantile without jumps.
+        """
+        return None
+
     # ----- public surface ------------------------------------------------
     def _evaluate(self, hook, t, x):
         arr = np.asarray(x, dtype=float)
@@ -462,16 +473,17 @@ class ScaleMixtureGaussian(MarginalFamily):
 
     def _quantile0(self, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
         # A time-varying scale c_t only multiplies this quantile, so every
-        # grid time re-inverts the same nodes: keep the last result per
-        # size, reused only when the whole input matches exactly.
+        # grid time re-inverts the same quadrature nodes.  Those node sets
+        # are shared and read-only, so the last result per size is kept
+        # for the very arrays it was computed on and matched by identity;
+        # writable inputs, such as merge columns, are never stored.
         u = np.asarray(u, dtype=float)
         cu = np.asarray(cu, dtype=float)
-        memoize = u.ndim == 1 and u.size >= 2048
+        memoize = not (u.flags.writeable or cu.flags.writeable)
         if memoize:
             hit = self._q0_memo.get(u.size)
-            if (hit is not None and np.array_equal(hit[0], u)
-                    and np.array_equal(hit[1], cu)):
-                return hit[2].copy()
+            if hit is not None and hit[0] is u and hit[1] is cu:
+                return hit[2]
         zs, Fs = self._quantile_table()
         z = np.clip(np.interp(u, Fs, zs), zs[0], zs[-1])
         # F0(z) below the median and 1 - F0(z) = F0(-z) above it, in one
@@ -484,7 +496,8 @@ class ScaleMixtureGaussian(MarginalFamily):
             resid = np.where(lower, tail - u, cu - tail)
             z = np.clip(z - resid / dens, zs[0], zs[-1])
         if memoize:
-            self._q0_memo[u.size] = (u.copy(), cu.copy(), z.copy())
+            z.setflags(write=False)
+            self._q0_memo[u.size] = (u, cu, z)
         return z
 
     # ----- family hooks --------------------------------------------------
@@ -535,6 +548,7 @@ class Empirical(MarginalFamily):
         # levels k/n of the first n - 1 jumps; u above the last one maps to
         # the largest order statistic
         self._thresholds = np.arange(1, n) / n
+        self._thresholds.setflags(write=False)
 
     def column(self, t: float) -> np.ndarray:
         """Sorted sample column attached to grid time t."""
@@ -554,16 +568,26 @@ class Empirical(MarginalFamily):
         Queries in ascending order walk the column once instead of jumping
         across it, so one argsort plus a scatter back is cheaper than
         searching large random-order queries directly; the ranks are equal.
-        The one argsort serves every side asked for.
+        The one argsort serves every side asked for.  When the sorted
+        queries are the column itself, as when a family transforms its own
+        sample, each rank is the start or the end of the query's run of
+        ties, read off the sort positions without a search.
         """
         col = self._columns[self._col_index(t)]
         flat = x.ravel()
         order = np.argsort(flat)
         ordered = flat[order]
+        own = ordered.size == col.size and np.array_equal(ordered, col)
+        if own:
+            starts = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+            runs = np.diff(np.r_[starts, col.size])
         fractions = []
         for side in sides:
             ranks = np.empty(flat.size, dtype=np.intp)
-            ranks[order] = np.searchsorted(col, ordered, side=side)
+            if own:
+                ranks[order] = np.repeat(starts if side == "left" else starts + runs, runs)
+            else:
+                ranks[order] = np.searchsorted(col, ordered, side=side)
             fractions.append(ranks.reshape(x.shape) / col.size)
         return fractions
 
@@ -583,6 +607,10 @@ class Empirical(MarginalFamily):
     def support(self, t):
         col = self._columns[self._col_index(float(t))]
         return float(col[0]), float(col[-1])
+
+    def quantile_steps(self, t):
+        """The jump levels k/n, k = 1 .. n - 1, and the sorted column."""
+        return self._thresholds, self.column(t)
 
 
 def empirical_family_from_ensemble(ensemble) -> Empirical:

@@ -174,9 +174,9 @@ def _tail_integral(family: MarginalFamily, params: RobustnessParams,
     # time unless it is the family's density or declares ``time_invariant``
     minorant_invariant = (params.minorant == family.pdf
                           or getattr(params.minorant, "time_invariant", False))
-    per_t = per_time_integrals(grid.points, integrand_at, tail_checked_integral,
-                               _ROBUST_DELTA,
-                               family.time_invariant and minorant_invariant)
+    per_t = per_time_integrals(
+        grid.points, lambda t: tail_checked_integral(integrand_at(t), _ROBUST_DELTA),
+        family.time_invariant and minorant_invariant)
     return float("inf") if per_t is None else integrate(grid, per_t)
 
 
@@ -256,8 +256,9 @@ def constant_K(params: RobustnessParams, family_y: MarginalFamily,
     def integrand_at(t):
         return lambda u, cu: np.abs(family_y.quantile_tail(t, u, cu)) ** exponent
 
-    per_t = per_time_integrals(grid.points, integrand_at, tail_checked_integral,
-                               _ROBUST_DELTA, family_y.time_invariant)
+    per_t = per_time_integrals(
+        grid.points, lambda t: tail_checked_integral(integrand_at(t), _ROBUST_DELTA),
+        family_y.time_invariant)
     if per_t is None:
         raise AssumptionViolatedError(
             f"Y lacks the L^{exponent:g} moment required by the bound")

@@ -12,7 +12,8 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         InvalidArgumentError, LognormalMixing, Pareto,
                         ScaleMixtureGaussian, Uniform,
                         UnsupportedOperationError, empirical_family_from_csv,
-                        empirical_family_to_csv, make_uniform_grid)
+                        empirical_family_to_csv, make_uniform_grid, merge,
+                        pathspace_wasserstein_same_copula, sample_comonotone)
 from copulaproc.marginals import FAMILY_KINDS
 
 U_LAT = np.linspace(1e-6, 1.0 - 1e-6, 501)
@@ -131,6 +132,39 @@ def test_empirical_ranks_match_plain_searchsorted():
                                   left + v * (right - left))
             assert np.shape(fam.cdf(t, x)) == np.shape(x)
     assert isinstance(fam.cdf(0.0, 2.0), float)
+
+
+@pytest.mark.parametrize("column", [
+    np.random.default_rng(9).integers(0, 6, 400).astype(float),  # heavy ties
+    np.array([2.5]),
+    np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0]),
+])
+def test_empirical_ranks_of_its_own_sample_need_no_search(column, monkeypatch):
+    g = make_uniform_grid(0.0, 1.0, 2)
+    fam = Empirical(g, np.vstack([column, column[::-1]]))
+    col = fam.column(0.0)
+    left = np.searchsorted(col, column, side="left") / col.size
+    right = np.searchsorted(col, column, side="right") / col.size
+    searches = []
+    searchsorted = np.searchsorted
+
+    def counting_searchsorted(a, *args, **kwargs):
+        if a is not g.points:  # the grid-time lookup is not a rank search
+            searches.append(a)
+        return searchsorted(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting_searchsorted)
+    # the sample in its original order, not sorted, is what a family sees
+    # when it transforms the ensemble it was built from
+    for t in g.points:
+        got_left, got_right = fam._cdf_limits(t, column)
+        assert np.array_equal(got_left, left) and np.array_equal(got_right, right)
+        assert np.array_equal(fam.cdf(t, column), right)
+        assert np.array_equal(fam.cdf_left(t, column), left)
+    assert searches == []
+    if column.size % 2 == 0:
+        square = column.reshape(2, -1)
+        assert np.array_equal(fam.cdf(0.0, square), right.reshape(2, -1))
 
 
 def test_empirical_distributional_transform_sorts_once(monkeypatch):
@@ -322,6 +356,35 @@ def test_scale_mixture_newton_step_takes_two_mixture_passes(monkeypatch):
     calls.clear()
     _two_pass_newton_quantile(fam, 0.0, u)
     assert len(calls) == 12
+
+
+def test_scale_mixture_merge_stores_no_quantile():
+    # merge columns are fresh writable arrays that never recur, so the
+    # quantile memo neither copies nor compares them
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
+    grid = make_uniform_grid(0.0, 1.0, 33)
+    merge(sample_comonotone(grid, 2048, seed=1), fam)
+    assert fam._q0_memo == {}
+
+
+def test_scale_mixture_quadrature_reuses_its_quantile_across_times(monkeypatch):
+    # c_t only scales the unit quantile, so the shared quadrature nodes are
+    # inverted once per node count: one table pass plus eight passes for
+    # each of the 4096 and 8192 node rules, as before the memo matched by
+    # identity
+    calls = []
+    block = ScaleMixtureGaussian._f0_block
+
+    def spy(self, z, func):
+        calls.append(np.size(z))
+        return block(self, z, func)
+
+    monkeypatch.setattr(ScaleMixtureGaussian, "_f0_block", spy)
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=lambda t: t ** 0.5)
+    rep = pathspace_wasserstein_same_copula(
+        fam, GaussianScale(lambda t: 0.8 * t ** 0.5), make_uniform_grid(1.0, 2.0, 9), 2)
+    assert len(calls) == 17
+    assert rep.integrated == 0.6539161710866062
 
 
 def test_scale_mixture_symmetry_and_roundtrip():

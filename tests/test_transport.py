@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +12,7 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         pathspace_wasserstein_same_copula, sample_comonotone,
                         sample_fbm_copula, wasserstein1d_empirical,
                         wasserstein1d_quantile, weighted_cosine_basis)
+from copulaproc import _quadrature
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
 
@@ -57,6 +61,91 @@ def test_pathspace_per_time_values_do_not_alias_across_times():
         assert_allclose(rep.per_t[j], wasserstein1d_quantile(emp, uni, t=t, p=1),
                         rtol=1e-12)
     assert rep.per_t[1] > rep.per_t[0]
+
+
+def test_step_quantile_against_uniform_is_exact():
+    # Q_A is a step and Q_B(u) = u, so each segment is integrated exactly;
+    # node doubling across the jump used to stop at 0.25010233, 9.3e-6
+    # relative off
+    grid = make_uniform_grid(0.0, 1.0, 2)
+    col = np.array([1.0] * 51 + [0.0] * 49)
+    emp = Empirical(grid, np.stack([col, col]))
+    w1 = wasserstein1d_quantile(emp, Uniform(), t=0.0, p=1)
+    assert abs(w1 - (0.49 ** 2 / 2 + 0.51 ** 2 / 2)) <= 1e-12
+    assert wasserstein1d_quantile(Uniform(), emp, t=0.0, p=1) == w1
+
+
+@pytest.mark.parametrize("column", [[0.3], [0.25, 0.75]])
+def test_short_step_quantiles_meet_the_quadrature_tolerance(column):
+    # one step has no jump; with two, each end segment holds a kink of
+    # |Q_A - u| that node doubling resolves to its 1e-6 target
+    grid = make_uniform_grid(0.0, 1.0, 2)
+    col = np.array(column)
+    emp = Empirical(grid, np.stack([col, col]))
+    edges = np.linspace(0.0, 1.0, col.size + 1)
+    exact = sum(((x - lo) ** 2 + (hi - x) ** 2) / 2
+                for x, lo, hi in zip(col, edges[:-1], edges[1:]))
+    assert_allclose(wasserstein1d_quantile(emp, Uniform(), t=0.0, p=1), exact, rtol=1e-6)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_two_step_quantiles_sum_exactly(p):
+    rng = np.random.default_rng(11)
+    grid = make_uniform_grid(0.0, 1.0, 2)
+    xs, ys = rng.standard_normal((2, 40)), rng.standard_normal((2, 40)) + 0.5
+    rep = pathspace_wasserstein_same_copula(Empirical(grid, xs), Empirical(grid, ys), grid, p)
+    for j in range(grid.m):
+        assert_allclose(rep.per_t[j], wasserstein1d_empirical(xs[j], ys[j], p),
+                        rtol=1e-12)
+    # unequal sizes: the merged levels i/3 and j/4, summed in exact fractions
+    a, b = np.sort(rng.standard_normal(3)), np.sort(rng.standard_normal(4))
+    levels = sorted({Fraction(i, 3) for i in range(4)} | {Fraction(j, 4) for j in range(5)})
+    brute = sum(float(hi - lo) * abs(a[math.ceil(hi * 3) - 1] - b[math.ceil(hi * 4) - 1]) ** p
+                for lo, hi in zip(levels, levels[1:]))
+    got = wasserstein1d_quantile(Empirical(grid, np.stack([a, a])),
+                                 Empirical(grid, np.stack([b, b])), t=1.0, p=p)
+    assert_allclose(got, brute ** (1.0 / p), rtol=1e-12)
+
+
+def test_step_quantile_against_varying_pareto_matches_closed_form():
+    # reference: on each level segment, in r = 1 - u, the Pareto quantile
+    # r**(-1/alpha) has the antiderivative r**a / a with a = 1 - 1/alpha,
+    # split where it crosses the step; scipy's quad misses the segment at
+    # the singular end by 3e-7 here
+    rng = np.random.default_rng(12)
+    grid = make_uniform_grid(0.5, 1.5, 3)
+    samples = rng.lognormal(0.3, 0.4, (grid.m, 60))
+    emp, par = Empirical(grid, samples), Pareto(1.0, lambda t: 3.5 + 0.5 * t)
+    rep = pathspace_wasserstein_same_copula(emp, par, grid, 1)
+    delta = 1e-9
+    for j, t in enumerate(grid.points):
+        col, alpha = np.sort(samples[j]), 3.5 + 0.5 * t
+        a = 1.0 - 1.0 / alpha
+        r_edges = np.r_[1.0 - delta, 1.0 - np.arange(1, col.size) / col.size, delta]
+        ref = 0.0
+        for x, hi, lo in zip(col, r_edges[:-1], r_edges[1:]):
+            # x - r**(-1/alpha) is negative below the crossing and positive above
+            cross = min(max(x ** -alpha, lo), hi)
+            ref += -(x * (cross - lo) - (cross ** a - lo ** a) / a)
+            ref += x * (hi - cross) - (hi ** a - cross ** a) / a
+        assert_allclose(rep.per_t[j], ref, rtol=1e-7)
+
+
+def test_step_quantile_integrals_stay_below_the_node_cap(monkeypatch):
+    seen = []
+    nodes = _quadrature.graded_midpoint_nodes
+
+    def spy(delta, n_nodes):
+        seen.append(n_nodes)
+        return nodes(delta, n_nodes)
+
+    monkeypatch.setattr(_quadrature, "graded_midpoint_nodes", spy)
+    rng = np.random.default_rng(13)
+    grid = make_uniform_grid(0.5, 1.5, 3)
+    samples = rng.uniform(0.8, 1.2, (grid.m, 1)) * rng.lognormal(0.3, 0.4, (grid.m, 2000))
+    pathspace_wasserstein_same_copula(Empirical(grid, samples),
+                                      Pareto(1.0, lambda t: 3.5 + 0.5 * t), grid, 1)
+    assert seen and max(seen) < 2**18
 
 
 def test_empirical_estimator_matches_quantile_form():
