@@ -81,6 +81,11 @@ class MarginalFamily:
     #: the law is the same at every t, so per-time quadratures integrate once
     time_invariant: bool = False
 
+    def __init__(self):
+        #: size -> (u, cu, unit quantile) of the last shared node set of
+        #: that size, for families with a ``_unit_quantile``
+        self._q0_memo = {}
+
     # ----- hooks ---------------------------------------------------------
     def _cdf(self, t: float, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -97,6 +102,36 @@ class MarginalFamily:
         """Quantile given u and its complement; called with u in (0, 1)
         except where a finite support endpoint makes the limit exact."""
         raise NotImplementedError
+
+    def _unit_quantile(self, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
+        """Quantile at location 0 and scale 1 of a location-scale family.
+
+        It depends on u and cu alone, so ``_quantile`` takes it through the
+        memo of ``_quantile0`` and only shifts and scales it per time.
+        """
+        raise NotImplementedError
+
+    def _quantile0(self, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
+        """``_unit_quantile(u, cu)``, kept for the node sets quadratures share.
+
+        Every grid time asks for the quantile at the same shared quadrature
+        nodes, which are read-only arrays that own their data, so the last
+        result per size is kept for the very arrays it was computed on and
+        matched by identity.  Other inputs, such as merge columns or
+        read-only views whose base may still change, are never stored.
+        """
+        u = np.asarray(u, dtype=float)
+        cu = np.asarray(cu, dtype=float)
+        memoize = all(a.flags.owndata and not a.flags.writeable for a in (u, cu))
+        if memoize:
+            hit = self._q0_memo.get(u.size)
+            if hit is not None and hit[0] is u and hit[1] is cu:
+                return hit[2]
+        z = self._unit_quantile(u, cu)
+        if memoize:
+            z.setflags(write=False)
+            self._q0_memo[u.size] = (u, cu, z)
+        return z
 
     def _pdf(self, t: float, x: np.ndarray) -> np.ndarray:
         raise UnsupportedOperationError(f"{self.kind} family has no density")
@@ -194,6 +229,7 @@ class GaussianScale(MarginalFamily):
     is_continuous = True
 
     def __init__(self, sigma=1.0, mean=0.0):
+        super().__init__()
         self.sigma = _as_time_fn(sigma, "sigma", 0.0)
         self.mean = _as_time_fn(mean, "mean")
         self.time_invariant = not (callable(sigma) or callable(mean))
@@ -216,9 +252,11 @@ class GaussianScale(MarginalFamily):
         mu = self.mean(t)
         if s == 0.0:
             return np.full_like(u, mu)
+        return mu + s * self._quantile0(u, cu)
+
+    def _unit_quantile(self, u, cu):
         # complement form keeps the upper tail accurate
-        z = np.where(u <= 0.5, ndtri(np.minimum(u, 0.5)), -ndtri(np.minimum(cu, 0.5)))
-        return mu + s * z
+        return np.where(u <= 0.5, ndtri(np.minimum(u, 0.5)), -ndtri(np.minimum(cu, 0.5)))
 
     def _pdf(self, t, x):
         s = self.sigma(t)
@@ -255,6 +293,7 @@ class ExponentialScale(MarginalFamily):
     is_continuous = True
 
     def __init__(self, scale=1.0):
+        super().__init__()
         self.scale = _as_time_fn(scale, "scale", 0.0)
         self.time_invariant = not callable(scale)
 
@@ -273,7 +312,11 @@ class ExponentialScale(MarginalFamily):
         th = self.scale(t)
         if th == 0.0:
             return np.zeros_like(u)
-        return -th * np.log(np.maximum(cu, 1e-320))
+        # th * (-log cu) is -th * log cu bit for bit: rounding keeps signs symmetric
+        return th * self._quantile0(u, cu)
+
+    def _unit_quantile(self, u, cu):
+        return -np.log(np.maximum(cu, 1e-320))
 
     def _pdf(self, t, x):
         th = self.scale(t)
@@ -417,6 +460,7 @@ class ScaleMixtureGaussian(MarginalFamily):
     is_continuous = True
 
     def __init__(self, mixing: LognormalMixing, scale=1.0, n_quad: int = 64):
+        super().__init__()
         if n_quad < 2:
             raise InvalidArgumentError(f"n_quad must be >= 2, got {n_quad}")
         if not (np.isfinite(mixing.mean_inverse) and np.isfinite(mixing.mean_square)):
@@ -433,36 +477,49 @@ class ScaleMixtureGaussian(MarginalFamily):
         if np.any(self._mix_s <= 0.0) or not np.isfinite(self._mix_s).all():
             raise InvalidArgumentError("mixing quantile must be positive and finite")
         self._table = None
-        self._q0_memo = {}
 
     # ----- unit-scale mixture functions ---------------------------------
     def _f0_block(self, z, func) -> np.ndarray:
         """Mixture average of func(z / s) over the quadrature scales s.
 
-        Rows go in blocks of 2048 inside each run of 65536, so each
-        (rows, n_quad) temporary stays near 1 MB.  numpy sends a one-row
-        product to its dot kernel, which sums in another order than the
-        matrix-vector kernel, so a trailing single row joins the block
-        before it, unless it starts a run of 65536 and so has always gone
-        alone.  Every row keeps the value of one block per 65536 rows.
+        Rows go in blocks of 2048 inside each run of 65536, all through one
+        buffer of at most 2049 rows, which ``func`` overwrites and returns;
+        a fresh 1 MB temporary per block would be mapped and page-faulted
+        anew each time.  numpy sends a one-row product to its dot kernel,
+        which sums in another order than the matrix-vector kernel, so a
+        trailing single row joins the block before it, unless it starts a
+        run of 65536 and so has always gone alone.  Every row keeps the
+        value of one block per 65536 rows.
         """
         z = np.asarray(z, dtype=float)
         flat = z.ravel()
         out = np.empty_like(flat)
+        buffer = np.empty((min(flat.size, 2049), self.n_quad))
         for top in range(0, flat.size, 65536):
             stop = min(top + 65536, flat.size)
             starts = range(top, max(stop - 1, top + 1), 2048)
             for start, end in zip(starts, [*starts[1:], stop]):
-                block = flat[start:end, None] / self._mix_s[None, :]
+                block = buffer[:end - start]
+                np.divide(flat[start:end, None], self._mix_s[None, :], out=block)
                 out[start:end] = func(block) @ self._mix_w
         return out.reshape(z.shape)
 
     def _cdf0(self, z: np.ndarray) -> np.ndarray:
-        return self._f0_block(z, ndtr)
+        return self._f0_block(z, lambda block: ndtr(block, out=block))
 
     def _pdf0(self, z: np.ndarray) -> np.ndarray:
-        return self._f0_block(z, lambda block: np.exp(-0.5 * block * block)
-                              / (_SQRT_2PI * self._mix_s[None, :]))
+        def density(block):
+            # exp(-0.5 * b * b) / (sqrt(2 pi) s) in place.  -0.5 * b is
+            # exact, so -0.5 * (b * b) rounds as (-0.5 * b) * b does, except
+            # below the normal range or past overflow, where exp gives 1 or 0
+            # either way
+            np.multiply(block, block, out=block)
+            block *= -0.5
+            np.exp(block, out=block)
+            block /= _SQRT_2PI * self._mix_s
+            return block
+
+        return self._f0_block(z, density)
 
     def _quantile_table(self):
         if self._table is None:
@@ -471,19 +528,7 @@ class ScaleMixtureGaussian(MarginalFamily):
             self._table = (zs, self._cdf0(zs))
         return self._table
 
-    def _quantile0(self, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
-        # A time-varying scale c_t only multiplies this quantile, so every
-        # grid time re-inverts the same quadrature nodes.  Those node sets
-        # are shared and read-only, so the last result per size is kept
-        # for the very arrays it was computed on and matched by identity;
-        # writable inputs, such as merge columns, are never stored.
-        u = np.asarray(u, dtype=float)
-        cu = np.asarray(cu, dtype=float)
-        memoize = not (u.flags.writeable or cu.flags.writeable)
-        if memoize:
-            hit = self._q0_memo.get(u.size)
-            if hit is not None and hit[0] is u and hit[1] is cu:
-                return hit[2]
+    def _unit_quantile(self, u, cu):
         zs, Fs = self._quantile_table()
         z = np.clip(np.interp(u, Fs, zs), zs[0], zs[-1])
         # F0(z) below the median and 1 - F0(z) = F0(-z) above it, in one
@@ -495,9 +540,6 @@ class ScaleMixtureGaussian(MarginalFamily):
             tail = self._cdf0(np.where(lower, z, -z))
             resid = np.where(lower, tail - u, cu - tail)
             z = np.clip(z - resid / dens, zs[0], zs[-1])
-        if memoize:
-            z.setflags(write=False)
-            self._q0_memo[u.size] = (u, cu, z)
         return z
 
     # ----- family hooks --------------------------------------------------

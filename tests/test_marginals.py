@@ -14,6 +14,7 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         UnsupportedOperationError, empirical_family_from_csv,
                         empirical_family_to_csv, make_uniform_grid, merge,
                         pathspace_wasserstein_same_copula, sample_comonotone)
+from copulaproc import _quadrature, marginals
 from copulaproc.marginals import FAMILY_KINDS
 
 U_LAT = np.linspace(1e-6, 1.0 - 1e-6, 501)
@@ -385,6 +386,100 @@ def test_scale_mixture_quadrature_reuses_its_quantile_across_times(monkeypatch):
         fam, GaussianScale(lambda t: 0.8 * t ** 0.5), make_uniform_grid(1.0, 2.0, 9), 2)
     assert len(calls) == 17
     assert rep.integrated == 0.6539161710866062
+
+
+def _gaussian_pair():
+    return (GaussianScale(lambda t: t ** 0.4, mean=lambda t: 0.3 * t),
+            GaussianScale(lambda t: 0.7 * t ** 0.6))
+
+
+def _exponential_pair():
+    return ExponentialScale(lambda t: t ** 0.5), ExponentialScale(lambda t: 1.5 * t ** 0.3)
+
+
+def _check_one_inversion_per_ladder_size(monkeypatch, pair, sizes, per_size):
+    """W_2 of a time-varying pair records ``per_size`` spied calls per node
+    count, and equals bitwise the value from writable node copies, which
+    no memo keeps."""
+    grid = make_uniform_grid(0.5, 1.5, 33)
+    rep = pathspace_wasserstein_same_copula(*pair(), grid, 2)
+    ladder = sorted(set(sizes))
+    assert ladder[0] == 4096 and len(ladder) >= 2
+    assert sorted(sizes) == sorted(ladder * per_size)
+    shared = _quadrature.graded_midpoint_nodes
+
+    def writable(delta, n_nodes):
+        u, cu, w = shared(delta, n_nodes)
+        return u.copy(), cu.copy(), w
+
+    monkeypatch.setattr(_quadrature, "graded_midpoint_nodes", writable)
+    sizes.clear()
+    ref = pathspace_wasserstein_same_copula(*pair(), grid, 2)
+    assert len(sizes) > per_size * grid.m
+    assert ref.integrated == rep.integrated
+    assert np.array_equal(ref.per_t, rep.per_t)
+
+
+def test_gaussian_quadrature_inverts_each_ladder_size_once(monkeypatch):
+    # mean and sigma only shift and scale the unit quantile, so each of the
+    # two families takes its two ndtri passes once per node count, not once
+    # per time
+    sizes = []
+    real_ndtri = marginals.ndtri
+
+    def spy(x):
+        sizes.append(np.size(x))
+        return real_ndtri(x)
+
+    monkeypatch.setattr(marginals, "ndtri", spy)
+    _check_one_inversion_per_ladder_size(monkeypatch, _gaussian_pair, sizes, 4)
+
+
+def test_exponential_quadrature_inverts_each_ladder_size_once(monkeypatch):
+    sizes = []
+    unit = ExponentialScale._unit_quantile
+
+    def spy(self, u, cu):
+        sizes.append(np.size(u))
+        return unit(self, u, cu)
+
+    monkeypatch.setattr(ExponentialScale, "_unit_quantile", spy)
+    _check_one_inversion_per_ladder_size(monkeypatch, _exponential_pair, sizes, 2)
+
+
+def test_gaussian_merge_stores_no_quantile():
+    fam = GaussianScale(lambda t: 1.0 + t)
+    merge(sample_comonotone(make_uniform_grid(0.0, 1.0, 33), 2048, seed=1), fam)
+    assert fam._q0_memo == {}
+
+
+@pytest.mark.parametrize("make", [lambda: ScaleMixtureGaussian(LognormalMixing(0.0, 0.5)),
+                                  lambda: GaussianScale(1.5, mean=0.2),
+                                  lambda: ExponentialScale(2.0)])
+def test_quantile_memo_never_keeps_read_only_views(make):
+    # a read-only view still changes with its writable base, so a memo
+    # matched by identity would return the quantile of the old values
+    base_u, base_cu = np.full(8, 0.3), np.full(8, 0.7)
+    u, cu = base_u[:], base_cu[:]
+    u.setflags(write=False)
+    cu.setflags(write=False)
+    fam = make()
+    fam.quantile_tail(1.0, u, cu)
+    base_u[:], base_cu[:] = 0.9, 0.1
+    assert np.array_equal(fam.quantile_tail(1.0, u, cu), make().quantile_tail(1.0, u, cu))
+
+
+def test_scale_mixture_density_in_place_rounds_as_the_textbook_order():
+    # below 2048 rows the mixture takes one product, as the textbook form
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
+    s, w = fam._mix_s, fam._mix_w
+    z = np.array([0.0, 1e-300, 1e-170, 3e-155, 1e-150, 0.3, 1.0, 2.5, 7.0, 38.0,
+                  40.0, 1e10, 1e154, 1e155, 1e200, np.inf])
+    z = np.concatenate([z, -z, np.random.default_rng(5).normal(0.0, 3.0, 500)])
+    block = z[:, None] / s[None, :]
+    with np.errstate(over="ignore"):
+        textbook = (np.exp(-0.5 * block * block) / (np.sqrt(2.0 * np.pi) * s[None, :])) @ w
+        assert np.array_equal(fam._pdf0(z), textbook)
 
 
 def test_scale_mixture_symmetry_and_roundtrip():
