@@ -297,8 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the config's master seed (u64)")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="accepted for interface stability; execution is "
-                              "single-threaded and outputs are the same for any value")
+                         help="accepted for interface stability and ignored; the "
+                              "scale-mixture kernel uses the CPUs in the process's "
+                              "affinity mask, and outputs are byte-identical for any "
+                              "CPU count, BLAS thread count or value of this flag")
     return parser
 
 

@@ -18,6 +18,8 @@ parameter.  Finite support endpoints are returned exactly.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,18 @@ from .serialize import write_matrix_csv
 
 _TAIL_EPS = 1e-12
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+
+
+#: whether a thread can bind itself to one CPU (Linux)
+_CAN_BIND = hasattr(os, "sched_setaffinity")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, read at each call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _as_time_fn(value, name: str, lower: float = -np.inf, strict: bool = False):
@@ -482,26 +496,76 @@ class ScaleMixtureGaussian(MarginalFamily):
     def _f0_block(self, z, func) -> np.ndarray:
         """Mixture average of func(z / s) over the quadrature scales s.
 
-        Rows go in blocks of 2048 inside each run of 65536, all through one
-        buffer of at most 2049 rows, which ``func`` overwrites and returns;
-        a fresh 1 MB temporary per block would be mapped and page-faulted
-        anew each time.  numpy sends a one-row product to its dot kernel,
-        which sums in another order than the matrix-vector kernel, so a
-        trailing single row joins the block before it, unless it starts a
-        run of 65536 and so has always gone alone.  Every row keeps the
-        value of one block per 65536 rows.
+        Rows go in blocks of 2048 inside each run of 65536.  numpy sends a
+        one-row product to its dot kernel, which sums in another order than
+        the matrix-vector kernel, so a trailing single row joins the block
+        before it, unless it starts a run of 65536 and so has always gone
+        alone.  Every row keeps the value of one block per 65536 rows.
+
+        The blocks are shared out among one thread per CPU in the process's
+        affinity mask (at most one per block): the calling thread and
+        threads started here each take the next block until none is left,
+        so a thread whose CPU is slowed by other work takes fewer blocks.
+        A worker's exception is raised again here.  While the call lasts,
+        each thread is bound to its own CPU of the mask and the caller's
+        mask is then restored: unbound, Linux wakes a thread that waited
+        for the GIL on the CPU of the thread that released it, so the
+        threads kept sharing one CPU and the split cost time.  Each thread
+        owns a buffer of at most 2049 rows, which ``func`` overwrites and
+        returns; the buffers are one array, since two separate 1 MB arrays
+        freed together can be trimmed from the heap and page-faulted anew
+        at the next call.  A row's value depends only on its block, so it
+        is the same for any CPU count and any sharing of the blocks.
+        ``func`` runs in the worker threads and must touch nothing but its
+        block.
         """
         z = np.asarray(z, dtype=float)
         flat = z.ravel()
         out = np.empty_like(flat)
-        buffer = np.empty((min(flat.size, 2049), self.n_quad))
+        blocks = []
         for top in range(0, flat.size, 65536):
             stop = min(top + 65536, flat.size)
             starts = range(top, max(stop - 1, top + 1), 2048)
-            for start, end in zip(starts, [*starts[1:], stop]):
-                block = buffer[:end - start]
+            blocks += zip(starts, [*starts[1:], stop])
+        n_threads = max(1, min(_usable_cpus(), len(blocks)))
+        buffers = np.empty((n_threads, min(flat.size, 2049), self.n_quad))
+        mask = sorted(os.sched_getaffinity(0)) if n_threads > 1 and _CAN_BIND else []
+        pending = iter(blocks)
+        taking = threading.Lock()
+        errors = []
+
+        def run(k):
+            if mask:
+                os.sched_setaffinity(0, {mask[k % len(mask)]})
+            while True:
+                with taking:
+                    start, end = next(pending, (None, None))
+                if start is None:
+                    return
+                block = buffers[k][:end - start]
                 np.divide(flat[start:end, None], self._mix_s[None, :], out=block)
-                out[start:end] = func(block) @ self._mix_w
+                np.matmul(func(block), self._mix_w, out=out[start:end])
+
+        def work(k):
+            try:
+                run(k)
+            except Exception as exc:  # re-raised by the calling thread
+                errors.append(exc)
+
+        threads = []
+        try:
+            for k in range(1, n_threads):
+                thread = threading.Thread(target=work, args=(k,))
+                thread.start()
+                threads.append(thread)
+            run(0)
+        finally:
+            for thread in threads:
+                thread.join()
+            if mask:
+                os.sched_setaffinity(0, mask)
+        if errors:
+            raise errors[0]
         return out.reshape(z.shape)
 
     def _cdf0(self, z: np.ndarray) -> np.ndarray:

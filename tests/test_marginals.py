@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -312,6 +313,112 @@ def test_scale_mixture_blocks_keep_the_65536_row_values_bitwise(tmp_path):
         x = ref[f"x{n}"]
         assert np.array_equal(fam.cdf(0.0, x), ref[f"cdf{n}"]), n
         assert np.array_equal(fam.pdf(0.0, x), ref[f"pdf{n}"]), n
+
+
+#: MIXTURE_SIZES, one whole block, two blocks with the fold, and one run
+#: of 65536 (32 blocks)
+WORKER_SIZES = (*MIXTURE_SIZES, 2048, 4097, 65536)
+
+
+def _mixture_values(seed):
+    """cdf, pdf and quantile of a fresh mixture, its table included."""
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=2.0)
+    rng = np.random.default_rng(seed)
+    shapes = [(n,) for n in WORKER_SIZES] + [(3, 4097)]
+    values = []
+    for shape in shapes:
+        x = 3.0 * rng.standard_normal(shape)
+        u = rng.uniform(0.0, 1.0, shape)
+        values += [fam.cdf(0.5, x), fam.pdf(0.5, x), fam.quantile(0.5, u)]
+    return values
+
+
+@pytest.fixture(scope="module")
+def one_cpu_mixture_values():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(marginals, "_usable_cpus", lambda: 1)
+        return _mixture_values(31)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+def test_scale_mixture_values_do_not_depend_on_the_cpu_count(
+        monkeypatch, one_cpu_mixture_values, cpus):
+    # each row's value depends only on its 2048-row block, so cutting the
+    # block list into one run per CPU changes no bit.  Runs share only the
+    # output array; a short switch interval makes their threads interleave
+    # often, so rows written by the wrong run, or not at all, would show.
+    monkeypatch.setattr(marginals, "_usable_cpus", lambda: cpus)
+    started = []
+    thread = threading.Thread
+
+    def spy(*args, **kwargs):
+        started.append(1)
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(marginals.threading, "Thread", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        values = _mixture_values(31)
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(values, one_cpu_mixture_values, strict=True):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert started
+
+
+def test_scale_mixture_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(marginals, "_usable_cpus", lambda: 3)
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
+    caller = threading.get_ident()
+    raised = []
+    worker_raised = threading.Event()
+
+    def func(block):
+        if threading.get_ident() != caller:
+            raised.append(LookupError("raised in a worker"))
+            worker_raised.set()
+            raise raised[-1]
+        # blocks go to whichever thread asks first: the caller holds its
+        # first one until a worker has taken another
+        worker_raised.wait(10.0)
+        return block
+
+    running = threading.active_count()
+    mask = _affinity()
+    with pytest.raises(LookupError, match="raised in a worker") as info:
+        fam._f0_block(np.zeros(3 * 2048), func)
+    assert any(info.value is exc for exc in raised)
+    assert threading.active_count() == running
+    assert _affinity() == mask
+
+
+def _affinity():
+    return os.sched_getaffinity(0) if marginals._CAN_BIND else None
+
+
+@pytest.mark.skipif(not marginals._CAN_BIND, reason="no thread affinity call")
+def test_scale_mixture_binds_each_run_to_its_own_cpu(monkeypatch):
+    # unbound, a thread that waited for the GIL is woken on the CPU of the
+    # thread that released it, and the two runs shared one CPU
+    monkeypatch.setattr(marginals, "_usable_cpus", lambda: 2)
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    setaffinity = os.sched_setaffinity
+    calls = {}
+
+    def spy(pid, chosen):
+        calls.setdefault(threading.get_ident(), []).append(set(chosen))
+        setaffinity(pid, chosen)
+
+    monkeypatch.setattr(marginals.os, "sched_setaffinity", spy)
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
+    fam.cdf(0.0, np.zeros(4 * 2048))
+    # the caller is bound, then given its mask back; the worker is bound
+    assert calls.pop(threading.get_ident()) == [{cpus[0]}, mask]
+    assert list(calls.values()) == [[{cpus[1 % len(cpus)]}]]
+    assert os.sched_getaffinity(0) == mask
 
 
 def _two_pass_newton_quantile(fam, t, u):

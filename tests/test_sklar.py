@@ -4,8 +4,9 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from copulaproc import (Empirical, ExponentialScale, GaussianScale,
-                        InvalidArgumentError, Pareto, ProcessEnsemble,
-                        Uniform, check_moment_condition, extract_copula,
+                        InvalidArgumentError, LognormalMixing, Pareto,
+                        ProcessEnsemble, ScaleMixtureGaussian, Uniform,
+                        check_moment_condition, extract_copula,
                         make_uniform_grid, merge, sample_comonotone,
                         sample_fbm_copula)
 from copulaproc import _quadrature, rng
@@ -26,9 +27,48 @@ def test_merge_applies_quantile_columnwise():
     fam = GaussianScale.power_law(0.3)
     ens = merge(cop, fam)
     for j, t in enumerate(GRID.points):
-        assert_allclose(ens.paths[:, j], fam.quantile(t, cop.paths[:, j]),
-                        rtol=1e-14)
+        assert np.array_equal(ens.paths[:, j], fam.quantile(t, cop.paths[:, j]))
     assert ens.marginal_tag == fam.kind
+
+
+def _loop_merge(copula, family):
+    out = np.empty_like(copula.paths)
+    for j, t in enumerate(copula.grid.points):
+        out[:, j] = family.quantile(t, copula.paths[:, j])
+    return out
+
+
+def _loop_extract(process, family, aux_seed):
+    out = np.empty_like(process.paths)
+    if family.is_continuous:
+        for j, t in enumerate(process.grid.points):
+            out[:, j] = family.cdf(t, process.paths[:, j])
+    else:
+        aux = rng.uniform_rows(aux_seed, process.n_paths, process.grid.m)
+        for j, t in enumerate(process.grid.points):
+            out[:, j] = family.distributional_transform(
+                t, process.paths[:, j], aux[:, j])
+    return np.clip(out, 0.0, 1.0)
+
+
+def _column_group_families(grid):
+    ties = np.round(np.random.default_rng(grid.m).normal(size=(grid.m, 40)), 1)
+    return [GaussianScale.power_law(0.3), Pareto(1.0, 4.0),
+            ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=lambda t: t),
+            Empirical(grid, ties)]
+
+
+# a grid has at least two points; 7, 8, 9 and 17 sit around the 8-column
+# groups.  2500 rows give the mixture kernel two blocks.
+@pytest.mark.parametrize("m", [2, 7, 8, 9, 17])
+def test_column_groups_match_a_per_column_loop_bitwise(m):
+    grid = make_uniform_grid(1.0, 2.0, m)
+    cop = sample_fbm_copula(grid, 0.5, 2500, seed=m)
+    for family in _column_group_families(grid):
+        ens = merge(cop, family)
+        assert np.array_equal(ens.paths, _loop_merge(cop, family)), family.kind
+        back = extract_copula(ens, family, aux_seed=7)
+        assert np.array_equal(back.paths, _loop_extract(ens, family, 7)), family.kind
 
 
 @pytest.mark.parametrize("family", [
