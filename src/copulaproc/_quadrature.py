@@ -22,6 +22,7 @@ end segments (``step_gap_integral``).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -39,12 +40,20 @@ _REL_TOL = 1e-6
 #: gains increments that shrink by less than 5% per halving
 _TAIL_RATIO_MAX = 2.0 * 0.95
 
-#: node ladder of the most recent delta: n_nodes -> read-only (u, cu).  Node
-#: doubling asks for the same few sizes at every grid time and in every
-#: integral, so one ladder (4096 ... 2**18 nodes, about 8.3 MB) is kept and a
-#: new delta replaces it.
-_ladder_delta = None
-_ladder = {}
+
+def _frozen(*arrays):
+    """Copies of 1-D float ``arrays`` on immutable ``bytes``, which numpy
+    never lets become writable."""
+    return tuple(np.frombuffer(a.tobytes()) for a in arrays)
+
+
+@lru_cache(maxsize=1)
+def _ladder(delta):
+    """n_nodes -> immutable (u, cu) for ``delta``.  Node doubling asks for
+    the same few sizes at every grid time and in every integral, so the
+    ladder of the most recent delta (4096 ... 2**18 nodes, about 8.3 MB)
+    is kept and a new delta replaces it."""
+    return {}
 
 
 def graded_midpoint_nodes(delta: float, n_nodes: int):
@@ -52,9 +61,8 @@ def graded_midpoint_nodes(delta: float, n_nodes: int):
 
     Returns (u, cu, w) with cu = 1 - u held at full relative precision and
     weights summing to 1 - 2*delta up to rounding.  u and cu are shared
-    between calls and read-only; w is a fresh array.
+    between calls and immutable; w is a fresh array.
     """
-    global _ladder_delta
     if not 0.0 < delta < 0.5:
         raise InvalidArgumentError(f"delta must lie in (0, 0.5), got {delta}")
     if n_nodes < 2:
@@ -62,16 +70,11 @@ def graded_midpoint_nodes(delta: float, n_nodes: int):
     # y-range solves (1 + tanh Y)/2 = 1 - delta
     y_max = 0.5 * np.log((1.0 - delta) / delta)
     h = 2.0 * y_max / n_nodes
-    if delta != _ladder_delta:
-        _ladder.clear()
-        _ladder_delta = delta
-    if n_nodes not in _ladder:
+    ladder = _ladder(delta)
+    if n_nodes not in ladder:
         y = -y_max + (np.arange(n_nodes) + 0.5) * h
-        nodes = (expit(2.0 * y), expit(-2.0 * y))
-        for arr in nodes:
-            arr.setflags(write=False)
-        _ladder[n_nodes] = nodes
-    u, cu = _ladder[n_nodes]
+        ladder[n_nodes] = _frozen(expit(2.0 * y), expit(-2.0 * y))
+    u, cu = ladder[n_nodes]
     w = 2.0 * h * u * cu
     return u, cu, w
 
@@ -163,7 +166,7 @@ def merge_steps(levels_a, values_a, levels_b, values_b):
 
 
 class _StepNodes:
-    """Read-only nodes of one set of jump levels and one endpoint cut.
+    """Immutable nodes of one set of jump levels and one endpoint cut.
 
     Interior segments (levels[i-1], levels[i]) get ``_SEGMENT_NODES``
     Gauss-Legendre nodes each, and the levels themselves follow them, so one
@@ -174,44 +177,34 @@ class _StepNodes:
     """
 
     def __init__(self, levels, delta):
-        self.levels, self.delta = levels.copy(), delta
         lo, hi = levels[:-1, None], levels[1:, None]
         width = hi - lo
         self.interior = width.size * _SEGMENT_NODES
-        self.u = np.concatenate([(lo + width * _GAUSS_U).ravel(), levels])
-        self.cu = np.concatenate([((1.0 - hi) + width * _GAUSS_CU).ravel(), 1.0 - levels])
-        self.weights = (width * _GAUSS_W).ravel()
+        self.u, self.cu, self.weights = _frozen(
+            np.concatenate([(lo + width * _GAUSS_U).ravel(), levels]),
+            np.concatenate([((1.0 - hi) + width * _GAUSS_CU).ravel(), 1.0 - levels]),
+            (width * _GAUSS_W).ravel())
         self.c_lo = levels[0] + delta
         self.delta_s = delta / self.c_lo
         self.c_hi = (1.0 - levels[-1]) / (1.0 - self.delta_s)
         self._ends = {}
-        for arr in (self.u, self.cu, self.weights):
-            arr.setflags(write=False)
 
     def end_nodes(self, s):
-        """Read-only (u, cu) of both end segments at the graded nodes s."""
+        """Immutable (u, cu) of both end segments at the graded nodes s."""
         if s.size not in self._ends:
             below, above = self.c_lo * s, self.c_hi * s
-            nodes = (np.concatenate([below, 1.0 - above]),
-                     np.concatenate([1.0 - below, above]))
-            for arr in nodes:
-                arr.setflags(write=False)
-            self._ends[s.size] = nodes
+            self._ends[s.size] = _frozen(np.concatenate([below, 1.0 - above]),
+                                         np.concatenate([1.0 - below, above]))
         return self._ends[s.size]
 
 
-#: nodes of the most recent step levels and delta.  Every grid time of an
-#: empirical family has the same levels, so the node set, like the ladder,
-#: is built once and handed to the other quantile as the same arrays.
-_step_nodes = None
-
-
-def _nodes_for(levels, delta) -> _StepNodes:
-    global _step_nodes
-    cached = _step_nodes
-    if cached is None or cached.delta != delta or not np.array_equal(cached.levels, levels):
-        cached = _step_nodes = _StepNodes(levels, delta)
-    return cached
+@lru_cache(maxsize=1)
+def _nodes_for(levels: bytes, delta) -> _StepNodes:
+    """Nodes of the most recent step levels and delta.  Every grid time of
+    an empirical family has the same levels, so the node set, like the
+    ladder, is built once and handed to the other quantile as the same
+    arrays."""
+    return _StepNodes(np.frombuffer(levels), delta)
 
 
 def step_gap_integral(levels, values, quantile, cdf, p: float, delta: float) -> float:
@@ -224,13 +217,13 @@ def step_gap_integral(levels, values, quantile, cdf, p: float, delta: float) -> 
     on which S - Q changes sign is split at u* = F(S) into two halves of 8
     nodes each, so the kink of |S - Q| lies on a boundary.  The two end
     segments, where Q may be unbounded, go through
-    ``adaptive_unit_integral``.  Q is called on shared read-only arrays
+    ``adaptive_unit_integral``.  Q is called on shared immutable arrays
     except at the split halves.
     """
     if values.size == 1:
         v = values[0]
         return adaptive_unit_integral(lambda u, cu: np.abs(v - quantile(u, cu)) ** p, delta)
-    nodes = _nodes_for(levels, delta)
+    nodes = _nodes_for(levels.tobytes(), delta)
     q = quantile(nodes.u, nodes.cu)
     inner = values[1:-1]
     gaps = inner[:, None] - q[:nodes.interior].reshape(-1, _SEGMENT_NODES)

@@ -36,10 +36,9 @@ from .errors import (AssumptionViolatedError, InvalidArgumentError,
                      NumericFailureError, UnsupportedOperationError)
 from .grid import TimeGrid, make_uniform_grid
 from .kl import kl_from_ensemble, tail_energy
-from .marginals import FAMILY_KINDS, GaussianScale, LognormalMixing, Pareto
-from .robustness import (ExperimentConfig, check_assumption,
-                         gaussian_minorant_params, pareto_elliptical_experiment,
-                         pareto_minorant_params)
+from .marginals import FAMILY_KINDS, LognormalMixing
+from .robustness import (MINORANT_PRESETS, ExperimentConfig, check_assumption,
+                         pareto_elliptical_experiment)
 from .serialize import sha256_file, write_csv, write_json, write_matrix_csv
 from .sklar import ProcessEnsemble, check_moment_condition, merge
 from .transport import attach_mc_check, pathspace_wasserstein_same_copula
@@ -252,21 +251,18 @@ def _run_check(cfg, outdir):
     if mode == "moment":
         report = check_moment_condition(family, grid, _float(_require(cfg, "p", ""), "p"))
     elif mode == "assumption":
-        section = cfg.get("params", {})
-        _check_keys(section, ("p", "epsilon", "q", "beta", "x0"), "params")
-        common = {key: _float(section[key], f"params.{key}")
-                  for key in ("epsilon", "q", "beta", "x0") if key in section}
-        common["p"] = _int(section.get("p", 1), "params.p", 1)
-        if isinstance(family, Pareto):
-            params = pareto_minorant_params(family, grid, **common)
-        elif isinstance(family, GaussianScale):
-            if "x0" in section:
-                raise InvalidArgumentError("params.x0 applies to pareto only")
-            params = gaussian_minorant_params(family, grid, **common)
-        else:
+        preset = MINORANT_PRESETS.get(family.kind)
+        if preset is None:
             raise InvalidArgumentError(
-                "assumption mode supports pareto and gaussian_scale families")
-        report = check_assumption(family, params, grid)
+                f"assumption mode supports {' and '.join(MINORANT_PRESETS)} families")
+        # the preset's keywords after (family, grid)
+        keys = [*inspect.signature(preset).parameters][2:]
+        section = cfg.get("params", {})
+        _check_keys(section, keys, "params")
+        common = {key: _float(section[key], f"params.{key}")
+                  for key in keys if key in section and key != "p"}
+        common["p"] = _int(section.get("p", 1), "params.p", 1)
+        report = check_assumption(family, preset(family, grid, **common), grid)
     else:
         raise InvalidArgumentError(f"mode must be 'moment' or 'assumption', got {mode!r}")
     write_json(os.path.join(outdir, "report.json"), report)

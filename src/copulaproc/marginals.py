@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,14 +130,14 @@ class MarginalFamily:
         """``_unit_quantile(u, cu)``, kept for the node sets quadratures share.
 
         Every grid time asks for the quantile at the same shared quadrature
-        nodes, which are read-only arrays that own their data, so the last
-        result per size is kept for the very arrays it was computed on and
-        matched by identity.  Other inputs, such as merge columns or
-        read-only views whose base may still change, are never stored.
+        nodes, which ``_quadrature`` builds on immutable ``bytes``, so the
+        last result per size is kept for the very arrays it was computed on
+        and matched by identity.  Other inputs, whose values may still
+        change, are never stored.
         """
         u = np.asarray(u, dtype=float)
         cu = np.asarray(cu, dtype=float)
-        memoize = all(a.flags.owndata and not a.flags.writeable for a in (u, cu))
+        memoize = isinstance(u.base, bytes) and isinstance(cu.base, bytes)
         if memoize:
             hit = self._q0_memo.get(u.size)
             if hit is not None and hit[0] is u and hit[1] is cu:
@@ -503,10 +504,11 @@ class ScaleMixtureGaussian(MarginalFamily):
         alone.  Every row keeps the value of one block per 65536 rows.
 
         The blocks are shared out among one thread per CPU in the process's
-        affinity mask (at most one per block): the calling thread and
-        threads started here each take the next block until none is left,
-        so a thread whose CPU is slowed by other work takes fewer blocks.
-        A worker's exception is raised again here.  While the call lasts,
+        affinity mask (at most one per block): the calling thread and the
+        workers of an executor that ends with the call each take the next
+        block until none is left, so a thread whose CPU is slowed by other
+        work takes fewer blocks.  A worker's exception is raised again
+        here, through its future.  While the call lasts,
         each thread is bound to its own CPU of the mask and the caller's
         mask is then restored: unbound, Linux wakes a thread that waited
         for the GIL on the CPU of the thread that released it, so the
@@ -532,7 +534,6 @@ class ScaleMixtureGaussian(MarginalFamily):
         mask = sorted(os.sched_getaffinity(0)) if n_threads > 1 and _CAN_BIND else []
         pending = iter(blocks)
         taking = threading.Lock()
-        errors = []
 
         def run(k):
             if mask:
@@ -546,26 +547,15 @@ class ScaleMixtureGaussian(MarginalFamily):
                 np.divide(flat[start:end, None], self._mix_s[None, :], out=block)
                 np.matmul(func(block), self._mix_w, out=out[start:end])
 
-        def work(k):
-            try:
-                run(k)
-            except Exception as exc:  # re-raised by the calling thread
-                errors.append(exc)
-
-        threads = []
         try:
-            for k in range(1, n_threads):
-                thread = threading.Thread(target=work, args=(k,))
-                thread.start()
-                threads.append(thread)
-            run(0)
+            with ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
+                workers = [pool.submit(run, k) for k in range(1, n_threads)]
+                run(0)
         finally:
-            for thread in threads:
-                thread.join()
             if mask:
                 os.sched_setaffinity(0, mask)
-        if errors:
-            raise errors[0]
+        for worker in workers:
+            worker.result()
         return out.reshape(z.shape)
 
     def _cdf0(self, z: np.ndarray) -> np.ndarray:

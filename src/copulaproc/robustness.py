@@ -157,6 +157,11 @@ def pareto_minorant_params(family: Pareto, grid: TimeGrid, x0: float = 0.0,
         halfwidth=lambda t: x0)
 
 
+#: family kind -> the minorant preset that ``check_assumption`` takes for it
+MINORANT_PRESETS = {Pareto.kind: pareto_minorant_params,
+                    GaussianScale.kind: gaussian_minorant_params}
+
+
 def _tail_integral(family: MarginalFamily, params: RobustnessParams,
                    grid: TimeGrid):
     """int_T E[g_t(Y_t)**(-beta)] dt, or +inf when any time diverges."""

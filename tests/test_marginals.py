@@ -574,6 +574,17 @@ def test_quantile_memo_never_keeps_read_only_views(make):
     fam.quantile_tail(1.0, u, cu)
     base_u[:], base_cu[:] = 0.9, 0.1
     assert np.array_equal(fam.quantile_tail(1.0, u, cu), make().quantile_tail(1.0, u, cu))
+    # nor does the write flag of an owning array: it can be cleared again
+    # after a refill
+    u, cu = np.full(8, 0.3), np.full(8, 0.7)
+    for arr in (u, cu):
+        arr.setflags(write=False)
+    fam.quantile_tail(1.0, u, cu)
+    for arr, value in ((u, 0.9), (cu, 0.1)):
+        arr.setflags(write=True)
+        arr[:] = value
+        arr.setflags(write=False)
+    assert np.array_equal(fam.quantile_tail(1.0, u, cu), make().quantile_tail(1.0, u, cu))
 
 
 def test_scale_mixture_density_in_place_rounds_as_the_textbook_order():

@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from copulaproc import _quadrature
 from copulaproc._quadrature import (adaptive_unit_integral, graded_midpoint_nodes,
-                                    per_time_integrals)
+                                    per_time_integrals, step_gap_integral)
 from copulaproc.robustness import _ROBUST_DELTA
 from copulaproc.sklar import _MOMENT_DELTA
 from copulaproc.transport import _TRANSPORT_DELTA
@@ -75,6 +75,11 @@ def test_cached_nodes_are_read_only():
     with pytest.raises(ValueError):
         cu *= 2.0
     w[0] = 0.0  # the weights are the caller's own
+    # the nodes lie on immutable bytes, so not even their owner can make
+    # them writable again and refill them
+    for arr in (u, cu):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
 
     def corrupting(u, cu):
         u *= 0.5
@@ -86,6 +91,23 @@ def test_cached_nodes_are_read_only():
                           _fresh_nodes(_TRANSPORT_DELTA, 4096)[0])
     assert adaptive_unit_integral(lambda u, cu: u, _TRANSPORT_DELTA) == mean
 
+    # a quantile against a step receives the interior step nodes and the
+    # end nodes, and can make neither writable
+    seen = []
+
+    def spy(u, cu):
+        seen.append((u, cu))
+        return u.copy()
+
+    levels = np.array([0.25, 0.5, 0.75])
+    step_gap_integral(levels, np.array([0.1, 0.4, 0.6, 0.9]), spy, lambda x: x, 1.0,
+                      _TRANSPORT_DELTA)
+    interior, ends = seen[0], seen[-1]
+    assert interior[0].size == 2 * 8 + 3 and ends[0].size >= 2 * 4096
+    for arr in (*interior, *ends):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+
 
 def test_a_new_delta_drops_the_old_ladder():
     u = graded_midpoint_nodes(_MOMENT_DELTA, 4096)[0]
@@ -95,4 +117,4 @@ def test_a_new_delta_drops_the_old_ladder():
     graded_midpoint_nodes(_ROBUST_DELTA, 4096)
     gc.collect()
     assert kept() is None
-    assert set(_quadrature._ladder) == {4096}
+    assert set(_quadrature._ladder(_ROBUST_DELTA)) == {4096}
