@@ -112,15 +112,18 @@ def truncate(ensemble: ProcessEnsemble, kl: KLDecomposition,
     """Project centered paths on the leading eigenfunctions and rebuild.
 
     Scores are weighted inner products <X - mean, phi_i>; the returned
-    ensemble is mean + sum scores_i phi_i over the kept indices.
+    ensemble is mean + sum scores_i phi_i over the kept indices.  The
+    centered paths are freed once the scores exist and the mean is added
+    in place, so one n_paths x m array is alive here at a time, not three;
+    the values are those of ``scores @ lead.T + mean`` bit for bit.
     """
     n_keep = _check_n_keep(kl, n_keep)
     if ensemble.grid != kl.grid:
         raise InvalidArgumentError("ensemble and expansion grids differ")
-    centered = ensemble.paths - kl.mean[None, :]
     lead = kl.eigenfunctions[:, :n_keep]
-    scores = centered @ (kl.grid.weights[:, None] * lead)
-    rebuilt = scores @ lead.T + kl.mean[None, :]
+    scores = (ensemble.paths - kl.mean[None, :]) @ (kl.grid.weights[:, None] * lead)
+    rebuilt = scores @ lead.T
+    rebuilt += kl.mean[None, :]
     return ProcessEnsemble(kl.grid, rebuilt,
                            marginal_tag=ensemble.marginal_tag,
                            copula_tag=f"{ensemble.copula_tag}|kl(n={n_keep})")

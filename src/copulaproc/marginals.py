@@ -638,8 +638,10 @@ class Empirical(MarginalFamily):
         if not np.isfinite(samples).all():
             raise InvalidArgumentError("samples must be finite")
         self.grid = grid
-        self._columns = np.sort(samples, axis=1)
-        self._columns.setflags(write=False)
+        # ``np.array`` copied the caller's samples: sort that copy in place
+        samples.sort(axis=1)
+        samples.setflags(write=False)
+        self._columns = samples
         n = self._columns.shape[1]
         # levels k/n of the first n - 1 jumps; u above the last one maps to
         # the largest order statistic

@@ -40,7 +40,8 @@ from .kl import kl_from_ensemble, tail_energy, truncate
 from .marginals import (GaussianScale, LognormalMixing, MarginalFamily,
                         Pareto, empirical_family_from_ensemble)
 from .sklar import ProcessEnsemble, extract_copula, merge
-from .transport import mc_coupling_cost, pathspace_wasserstein_same_copula
+from .transport import (abs_power_gap, mc_coupling_cost,
+                        pathspace_wasserstein_same_copula)
 
 #: endpoint cut for robustness quadratures; the complement form keeps
 #: quantiles stable this deep, and power tails integrable by assumption
@@ -335,7 +336,9 @@ def evaluate_bound(ens_x: ProcessEnsemble, family_x: MarginalFamily,
 
     The ensembles must be generated on shared randomness with equal shape.
     ``constant`` and ``marginal_term`` accept precomputed values so sweeps
-    can reuse them; both default to fresh evaluation.
+    can reuse them; both default to fresh evaluation.  The copula gap
+    |U^X - U^Y|**q is built in one buffer, reused in place, and the two
+    extracted copulas are freed before it is reduced.
     """
     if ens_x.grid != ens_y.grid or ens_x.n_paths != ens_y.n_paths:
         raise InvalidArgumentError(
@@ -355,11 +358,10 @@ def evaluate_bound(ens_x: ProcessEnsemble, family_x: MarginalFamily,
         marginal_term = pathspace_wasserstein_same_copula(
             family_x, family_y, grid, p).integrated
 
-    u_x = extract_copula(ens_x, family_x, _AUX_SEED_X)
-    u_y = extract_copula(ens_y, family_y, _AUX_SEED_Y)
-    q = params.q
-    dist_power = float(np.mean(np.abs(u_x.paths - u_y.paths) ** q @ grid.weights))
-    copula_term = k_val * dist_power ** (r / q)
+    gap = abs_power_gap(extract_copula(ens_x, family_x, _AUX_SEED_X).paths,
+                        extract_copula(ens_y, family_y, _AUX_SEED_Y).paths, params.q)
+    dist_power = float(np.mean(gap @ grid.weights))
+    copula_term = k_val * dist_power ** (r / params.q)
 
     slack = marginal_term + copula_term - lhs
     holds = bool(slack >= -3.0 * (lhs_se if np.isfinite(lhs_se) else 0.0))
@@ -479,8 +481,14 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 f"alpha = {self.alpha} violates the margin alpha >= 2 + gamma "
                 f"= {2.0 + self.gamma}: the squared-moment control fails")
-        if len(self.n_keep) < 1 or any(k < 1 for k in self.n_keep):
-            raise InvalidArgumentError("n_keep must be a nonempty list of positive ints")
+        # checked here, not by ``truncate`` after the mixture extraction
+        m = int(self.m)
+        if len(self.n_keep) < 1 or not all(
+                isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                and 1 <= k <= m for k in self.n_keep):
+            raise InvalidArgumentError(
+                f"n_keep must be a nonempty list of integers in [1, m = {m}], "
+                f"got {self.n_keep!r}")
 
 
 @dataclass(frozen=True)
@@ -521,6 +529,15 @@ def _loglog_slope(xs, ys):
     return float(coeffs[0])
 
 
+def _truncated_copula(tilde_y: ProcessEnsemble, decomposition, n_keep: int,
+                      aux_seed: int):
+    """Copula of the n_keep-term KL truncation, through its empirical
+    marginals; the truncated paths and their family die on return."""
+    truncated = truncate(tilde_y, decomposition, n_keep)
+    return extract_copula(truncated, empirical_family_from_ensemble(truncated),
+                          aux_seed)
+
+
 def pareto_elliptical_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Truncation study: Pareto marginals on an elliptical copula.
 
@@ -530,16 +547,18 @@ def pareto_elliptical_experiment(config: ExperimentConfig) -> ExperimentReport:
     transform and re-merge, then evaluates the robustness bound of Y
     against it.  Marginals for the rebuilt process come from the true
     family or from the empirical CDFs of Y depending on
-    ``config.marginal_mode``.
+    ``config.marginal_mode``.  Each n_paths x m intermediate is freed as
+    soon as it has been used, so at most six are alive at once with the
+    true marginals.
     """
     grid = make_uniform_grid(config.a, config.b, int(config.m))
     pre_paths, mix_family = elliptical_pretransform(
         grid, config.hurst, config.mixing, int(config.n_paths), int(config.seed))
     tilde_y = ProcessEnsemble(grid, pre_paths, mix_family.kind,
                               f"elliptical-pre(hurst={config.hurst:g})")
-    copula_u = extract_copula(tilde_y, mix_family, int(config.seed) + 101)
     family_y = Pareto(config.x_min, float(config.alpha))
-    ens_y = merge(copula_u, family_y)
+    ens_y = merge(extract_copula(tilde_y, mix_family, int(config.seed) + 101),
+                  family_y)
 
     params = pareto_minorant_params(family_y, grid, x0=0.0, p=int(config.p),
                                     epsilon=config.epsilon, q=config.q,
@@ -561,12 +580,11 @@ def pareto_elliptical_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     rows = []
     for k in config.n_keep:
-        truncated = truncate(tilde_y, decomposition, int(k))
-        empirical_k = empirical_family_from_ensemble(truncated)
-        u_k = extract_copula(truncated, empirical_k, int(config.seed) + 211)
-        ens_k = merge(u_k, family_n)
+        ens_k = merge(_truncated_copula(tilde_y, decomposition, int(k),
+                                        int(config.seed) + 211), family_n)
         bound = evaluate_bound(ens_k, family_n, ens_y, family_y, params,
                                constant=k_val, marginal_term=marginal_term)
+        del ens_k
         rows.append(ExperimentRow(
             n_keep=int(k), lhs=bound.lhs, marginal_term=bound.marginal_term,
             copula_term=bound.copula_term, K=bound.K, rho=bound.rho,

@@ -145,16 +145,27 @@ def pathspace_wasserstein_same_copula(family_a: MarginalFamily,
     return TransportReport(p=p, integrated=float(integrated), per_t=per_t)
 
 
+def abs_power_gap(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """|a - b|**p in one fresh buffer: the difference is taken into it and
+    the absolute value and the power are applied in place.  The ufuncs are
+    those of ``np.abs(a - b) ** p``, so the values are equal bit for bit."""
+    gap = np.subtract(a, b)
+    np.abs(gap, out=gap)
+    gap **= p
+    return gap
+
+
 def mc_coupling_cost(ens_x: ProcessEnsemble, ens_y: ProcessEnsemble, p: int):
     """Monte Carlo coupling cost E int |X - Y|**p dt from paired paths.
 
     Returns ``(value, power_mean, power_se)`` where value = power_mean**(1/p)
-    and power_se is the standard error of the per-path mean.
+    and power_se is the standard error of the per-path mean.  The gap
+    |X - Y|**p is built in one buffer, reused in place by ``abs_power_gap``.
     """
     p = _check_p(p)
     if ens_x.grid != ens_y.grid or ens_x.n_paths != ens_y.n_paths:
         raise InvalidArgumentError("ensembles must share grid and path count")
-    per_path = np.abs(ens_x.paths - ens_y.paths) ** p @ ens_x.grid.weights
+    per_path = abs_power_gap(ens_x.paths, ens_y.paths, p) @ ens_x.grid.weights
     power_mean = float(np.mean(per_path))
     if ens_x.n_paths > 1:
         power_se = float(np.std(per_path, ddof=1) / np.sqrt(ens_x.n_paths))

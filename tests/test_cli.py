@@ -3,6 +3,8 @@ import glob
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -136,6 +138,16 @@ def test_simulate_fbm_columns_pass_ks(tmp_path):
     ks_p = _read_json(outdir / "manifest.json")["column_ks_p"]
     assert len(ks_p) == 9
     assert all(p >= 0.01 for p in ks_p)
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # only simulate's column KS p-values need scipy.stats; every other
+    # command, and a process that only imports the package, skips its import
+    code = ("import sys, copulaproc.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")})
+    assert done.returncode == 0, "importing copulaproc.cli loaded scipy.stats"
 
 
 def test_unknown_key_is_named_and_exits_2(tmp_path, capsys):

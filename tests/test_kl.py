@@ -82,6 +82,16 @@ def test_truncation_error_equals_tail_energy():
         assert abs(mc - (n - 1) / n * tail) <= max(3.0 * se, 1e-12)
 
 
+def test_truncate_matches_the_textbook_rebuild_bitwise():
+    ens = merge(sample_fbm_copula(GRID, 0.7, 400, seed=33), GaussianScale(1.0, mean=2.0))
+    kl = kl_from_ensemble(ens)
+    for keep in (1, 3, GRID.m):
+        lead = kl.eigenfunctions[:, :keep]
+        scores = (ens.paths - kl.mean[None, :]) @ (GRID.weights[:, None] * lead)
+        expect = scores @ lead.T + kl.mean[None, :]
+        assert np.array_equal(truncate(ens, kl, keep).paths, expect), keep
+
+
 def test_truncate_full_rank_is_identity():
     ens = merge(sample_fbm_copula(GRID, 0.5, 300, seed=31), GaussianScale(1.0))
     kl = kl_from_ensemble(ens)

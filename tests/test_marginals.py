@@ -110,6 +110,22 @@ def test_empirical_order_statistics():
     assert fam.cdf_left(0.0, 2.0) == 0.2
 
 
+def test_empirical_sorts_its_own_copy_of_the_samples():
+    g = make_uniform_grid(0.0, 1.0, 4)
+    rng = np.random.default_rng(12)
+    # a C-ordered array and the transposed paths view the ensemble helper passes
+    for samples in (rng.normal(size=(4, 301)).round(1),
+                    rng.exponential(size=(301, 4)).T):
+        before = samples.copy()
+        fam = Empirical(g, samples)
+        assert np.array_equal(samples, before)
+        expect = np.sort(samples, axis=1)
+        for j, t in enumerate(g.points):
+            assert np.array_equal(fam.column(t), expect[j])
+            assert not np.shares_memory(fam.column(t), samples)
+            assert not fam.column(t).flags.writeable
+
+
 def test_empirical_ranks_match_plain_searchsorted():
     g = make_uniform_grid(0.0, 1.0, 3)
     rng = np.random.default_rng(8)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -199,6 +201,23 @@ def test_evaluate_bound_reuses_precomputed_terms():
     assert reused == fresh
 
 
+def test_evaluate_bound_copula_term_matches_the_textbook_gap_bitwise():
+    # the in-place gap applies the ufuncs of np.abs(u_x - u_y) ** q
+    fam_y = Pareto(1.0, 4.0)
+    ens_x = merge(sample_fbm_copula(GRID, 0.8, 2_000, seed=12), fam_y)
+    ens_y = merge(sample_fbm_copula(GRID, 0.5, 2_000, seed=12), fam_y)
+    # an atomic family draws the auxiliary uniforms of its fixed seed
+    fam_x = empirical_family_from_ensemble(ens_x)
+    u_x = extract_copula(ens_x, fam_x, robustness._AUX_SEED_X).paths
+    u_y = extract_copula(ens_y, fam_y, robustness._AUX_SEED_Y).paths
+    for q in (1.0, 1.5, 2.0, 3.0):
+        params = pareto_minorant_params(fam_y, GRID, q=q)
+        rep = evaluate_bound(ens_x, fam_x, ens_y, fam_y, params,
+                             constant=1.7, marginal_term=0.0)
+        dist_power = float(np.mean(np.abs(u_x - u_y) ** q @ GRID.weights))
+        assert rep.copula_term == 1.7 * dist_power ** (params.rho / q), q
+
+
 def test_evaluate_bound_rejects_uncoupled_shapes():
     cop = sample_fbm_copula(GRID, 0.5, 10, seed=1)
     other = sample_fbm_copula(GRID, 0.5, 20, seed=1)
@@ -320,6 +339,33 @@ def test_experiment_config_validation():
         ExperimentConfig(n_keep=())
     with pytest.raises(InvalidArgumentError):
         ExperimentConfig(gamma=-1.0)
+
+
+@pytest.mark.parametrize("n_keep", [(1, 2, 100), (2.7,), (1, 2.0), (True,), (0, 3)])
+def test_experiment_config_rejects_bad_n_keep_up_front(n_keep):
+    # an entry above m used to fail in truncate after the mixture
+    # extraction, and a float entry ran truncated by int()
+    with pytest.raises(InvalidArgumentError, match="n_keep"):
+        ExperimentConfig(m=65, n_keep=n_keep)
+    assert ExperimentConfig(m=9, n_keep=(1, np.int64(9))).n_keep[1] == 9
+
+
+def test_experiment_holds_at_most_eight_ensembles():
+    # every n_paths x m intermediate dies once it has been used, so six are
+    # alive at the peak; the rest of the bound covers smaller temporaries
+    n, m = 4_000, 33
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pareto_elliptical_experiment(ExperimentConfig(n_paths=n, m=m, seed=3))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 8 * n * m * 8, peak / (n * m * 8)
 
 
 def test_minorant_param_validation():

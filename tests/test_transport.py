@@ -199,6 +199,18 @@ def test_optimal_coupling_attains_wasserstein():
     assert abs(power_mean - rep.integrated**2) <= 3.0 * power_se
 
 
+def test_mc_coupling_cost_matches_the_textbook_gap_bitwise():
+    # the in-place gap applies the ufuncs of np.abs(x - y) ** p @ w
+    ex = merge(sample_fbm_copula(GRID, 0.5, 3_000, seed=21), Pareto(1.0, 4.0))
+    ey = merge(sample_fbm_copula(GRID, 0.8, 3_000, seed=21), GaussianScale(1.5))
+    for p in (1, 2, 3, 4):
+        per_path = np.abs(ex.paths - ey.paths) ** p @ GRID.weights
+        power_mean = float(np.mean(per_path))
+        power_se = float(np.std(per_path, ddof=1) / np.sqrt(ex.n_paths))
+        assert mc_coupling_cost(ex, ey, p) == (float(power_mean ** (1.0 / p)),
+                                               power_mean, power_se), p
+
+
 def test_nonoptimal_coupling_costs_more():
     # fBm coupling is not monotone across paths, so its cost exceeds W_p
     n = 40_000
