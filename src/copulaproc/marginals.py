@@ -18,32 +18,19 @@ parameter.  Finite support endpoints are returned exactly.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
+from ._parallel import share, threads_for
 from .errors import InvalidArgumentError, UnsupportedOperationError
 from .grid import TimeGrid, grid_from_points
 from .serialize import write_matrix_csv
 
 _TAIL_EPS = 1e-12
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
-
-
-#: whether a thread can bind itself to one CPU (Linux)
-_CAN_BIND = hasattr(os, "sched_setaffinity")
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, read at each call."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _as_time_fn(value, name: str, lower: float = -np.inf, strict: bool = False):
@@ -492,6 +479,7 @@ class ScaleMixtureGaussian(MarginalFamily):
         if np.any(self._mix_s <= 0.0) or not np.isfinite(self._mix_s).all():
             raise InvalidArgumentError("mixing quantile must be positive and finite")
         self._table = None
+        self._table_lock = threading.Lock()
 
     # ----- unit-scale mixture functions ---------------------------------
     def _f0_block(self, z, func) -> np.ndarray:
@@ -503,23 +491,16 @@ class ScaleMixtureGaussian(MarginalFamily):
         before it, unless it starts a run of 65536 and so has always gone
         alone.  Every row keeps the value of one block per 65536 rows.
 
-        The blocks are shared out among one thread per CPU in the process's
-        affinity mask (at most one per block): the calling thread and the
-        workers of an executor that ends with the call each take the next
-        block until none is left, so a thread whose CPU is slowed by other
-        work takes fewer blocks.  A worker's exception is raised again
-        here, through its future.  While the call lasts,
-        each thread is bound to its own CPU of the mask and the caller's
-        mask is then restored: unbound, Linux wakes a thread that waited
-        for the GIL on the CPU of the thread that released it, so the
-        threads kept sharing one CPU and the split cost time.  Each thread
-        owns a buffer of at most 2049 rows, which ``func`` overwrites and
-        returns; the buffers are one array, since two separate 1 MB arrays
-        freed together can be trimmed from the heap and page-faulted anew
-        at the next call.  A row's value depends only on its block, so it
-        is the same for any CPU count and any sharing of the blocks.
-        ``func`` runs in the worker threads and must touch nothing but its
-        block.
+        The blocks are shared out through ``_parallel.share``, among one
+        CPU-bound thread per CPU in the affinity mask, at most one per
+        block; inside shared work, such as a column group of ``merge``,
+        the call runs inline.  Each thread owns a buffer of at most 2049
+        rows, which ``func`` overwrites and returns; the buffers are one
+        array, since two separate 1 MB arrays freed together can be trimmed
+        from the heap and page-faulted anew at the next call.  A row's
+        value depends only on its block, so it is the same for any CPU
+        count and any sharing of the blocks.  ``func`` runs in the worker
+        threads and must touch nothing but its block.
         """
         z = np.asarray(z, dtype=float)
         flat = z.ravel()
@@ -529,33 +510,16 @@ class ScaleMixtureGaussian(MarginalFamily):
             stop = min(top + 65536, flat.size)
             starts = range(top, max(stop - 1, top + 1), 2048)
             blocks += zip(starts, [*starts[1:], stop])
-        n_threads = max(1, min(_usable_cpus(), len(blocks)))
+        n_threads = threads_for(len(blocks))
         buffers = np.empty((n_threads, min(flat.size, 2049), self.n_quad))
-        mask = sorted(os.sched_getaffinity(0)) if n_threads > 1 and _CAN_BIND else []
-        pending = iter(blocks)
-        taking = threading.Lock()
 
-        def run(k):
-            if mask:
-                os.sched_setaffinity(0, {mask[k % len(mask)]})
-            while True:
-                with taking:
-                    start, end = next(pending, (None, None))
-                if start is None:
-                    return
-                block = buffers[k][:end - start]
-                np.divide(flat[start:end, None], self._mix_s[None, :], out=block)
-                np.matmul(func(block), self._mix_w, out=out[start:end])
+        def run(k, rows):
+            start, end = rows
+            block = buffers[k][:end - start]
+            np.divide(flat[start:end, None], self._mix_s[None, :], out=block)
+            np.matmul(func(block), self._mix_w, out=out[start:end])
 
-        try:
-            with ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
-                workers = [pool.submit(run, k) for k in range(1, n_threads)]
-                run(0)
-        finally:
-            if mask:
-                os.sched_setaffinity(0, mask)
-        for worker in workers:
-            worker.result()
+        share(blocks, run, n_threads)
         return out.reshape(z.shape)
 
     def _cdf0(self, z: np.ndarray) -> np.ndarray:
@@ -576,10 +540,12 @@ class ScaleMixtureGaussian(MarginalFamily):
         return self._f0_block(z, density)
 
     def _quantile_table(self):
-        if self._table is None:
-            z_max = float(self._mix_s.max()) * abs(ndtri(1e-14)) * 1.05
-            zs = np.linspace(-z_max, z_max, 16385)
-            self._table = (zs, self._cdf0(zs))
+        # the column groups of a merge ask for it at once; one builds it
+        with self._table_lock:
+            if self._table is None:
+                z_max = float(self._mix_s.max()) * abs(ndtri(1e-14)) * 1.05
+                zs = np.linspace(-z_max, z_max, 16385)
+                self._table = (zs, self._cdf0(zs))
         return self._table
 
     def _unit_quantile(self, u, cu):

@@ -481,6 +481,12 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 f"alpha = {self.alpha} violates the margin alpha >= 2 + gamma "
                 f"= {2.0 + self.gamma}: the squared-moment control fails")
+        for name in ("m", "n_paths"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                    or value < 1):
+                raise InvalidArgumentError(
+                    f"{name} must be a positive integer, got {value!r}")
         # checked here, not by ``truncate`` after the mixture extraction
         m = int(self.m)
         if len(self.n_keep) < 1 or not all(

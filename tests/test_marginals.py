@@ -15,7 +15,7 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         UnsupportedOperationError, empirical_family_from_csv,
                         empirical_family_to_csv, make_uniform_grid, merge,
                         pathspace_wasserstein_same_copula, sample_comonotone)
-from copulaproc import _quadrature, marginals
+from copulaproc import _parallel, _quadrature, marginals
 from copulaproc.marginals import FAMILY_KINDS
 
 U_LAT = np.linspace(1e-6, 1.0 - 1e-6, 501)
@@ -352,7 +352,7 @@ def _mixture_values(seed):
 @pytest.fixture(scope="module")
 def one_cpu_mixture_values():
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(marginals, "_usable_cpus", lambda: 1)
+        patch.setattr(_parallel, "usable_cpus", lambda: 1)
         return _mixture_values(31)
 
 
@@ -363,7 +363,7 @@ def test_scale_mixture_values_do_not_depend_on_the_cpu_count(
     # block list into one run per CPU changes no bit.  Runs share only the
     # output array; a short switch interval makes their threads interleave
     # often, so rows written by the wrong run, or not at all, would show.
-    monkeypatch.setattr(marginals, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
     started = []
     thread = threading.Thread
 
@@ -371,7 +371,7 @@ def test_scale_mixture_values_do_not_depend_on_the_cpu_count(
         started.append(1)
         return thread(*args, **kwargs)
 
-    monkeypatch.setattr(marginals.threading, "Thread", spy)
+    monkeypatch.setattr(_parallel.threading, "Thread", spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -385,7 +385,7 @@ def test_scale_mixture_values_do_not_depend_on_the_cpu_count(
 
 
 def test_scale_mixture_worker_exception_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(marginals, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 3)
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
     caller = threading.get_ident()
     raised = []
@@ -411,14 +411,14 @@ def test_scale_mixture_worker_exception_reaches_the_caller(monkeypatch):
 
 
 def _affinity():
-    return os.sched_getaffinity(0) if marginals._CAN_BIND else None
+    return os.sched_getaffinity(0) if _parallel.CAN_BIND else None
 
 
-@pytest.mark.skipif(not marginals._CAN_BIND, reason="no thread affinity call")
+@pytest.mark.skipif(not _parallel.CAN_BIND, reason="no thread affinity call")
 def test_scale_mixture_binds_each_run_to_its_own_cpu(monkeypatch):
     # unbound, a thread that waited for the GIL is woken on the CPU of the
     # thread that released it, and the two runs shared one CPU
-    monkeypatch.setattr(marginals, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
     mask = os.sched_getaffinity(0)
     cpus = sorted(mask)
     setaffinity = os.sched_setaffinity
@@ -428,7 +428,7 @@ def test_scale_mixture_binds_each_run_to_its_own_cpu(monkeypatch):
         calls.setdefault(threading.get_ident(), []).append(set(chosen))
         setaffinity(pid, chosen)
 
-    monkeypatch.setattr(marginals.os, "sched_setaffinity", spy)
+    monkeypatch.setattr(_parallel.os, "sched_setaffinity", spy)
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
     fam.cdf(0.0, np.zeros(4 * 2048))
     # the caller is bound, then given its mask back; the worker is bound
@@ -489,6 +489,31 @@ def test_scale_mixture_merge_stores_no_quantile():
     grid = make_uniform_grid(0.0, 1.0, 33)
     merge(sample_comonotone(grid, 2048, seed=1), fam)
     assert fam._q0_memo == {}
+
+
+def test_scale_mixture_merge_builds_its_quantile_table_once(monkeypatch):
+    # on two CPUs the first column group of each thread asks for the table
+    # at the same time; both used to build it
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    tables = []
+    cdf0 = ScaleMixtureGaussian._cdf0
+
+    def spy(self, z):
+        if np.size(z) == 16385:
+            tables.append(1)
+        return cdf0(self, z)
+
+    monkeypatch.setattr(ScaleMixtureGaussian, "_cdf0", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed in range(3):
+            tables.clear()
+            fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=lambda t: t)
+            merge(sample_comonotone(make_uniform_grid(1.0, 2.0, 33), 4096, seed=seed), fam)
+            assert len(tables) == 1
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_scale_mixture_quadrature_reuses_its_quantile_across_times(monkeypatch):

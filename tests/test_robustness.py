@@ -350,6 +350,18 @@ def test_experiment_config_rejects_bad_n_keep_up_front(n_keep):
     assert ExperimentConfig(m=9, n_keep=(1, np.int64(9))).n_keep[1] == 9
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", 9.7), ("m", 9.0), ("m", True), ("m", 0),
+    ("n_paths", 300.9), ("n_paths", False), ("n_paths", -5), ("n_paths", "300")])
+def test_experiment_config_rejects_bad_sizes_up_front(field, value):
+    # a float m or n_paths used to run truncated by int(): m = 9.7 gave
+    # m = 9 and an n_keep = 9 row with tail energy 0.0
+    kwargs = {"m": 9, "n_paths": 300, "n_keep": (1, 2), "seed": 4, field: value}
+    with pytest.raises(InvalidArgumentError, match=field):
+        ExperimentConfig(**kwargs)
+    assert ExperimentConfig(m=np.int64(9), n_paths=np.int64(300), n_keep=(1, 9)).m == 9
+
+
 def test_experiment_holds_at_most_eight_ensembles():
     # every n_paths x m intermediate dies once it has been used, so six are
     # alive at the peak; the rest of the bound covers smaller temporaries

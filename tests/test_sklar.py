@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +14,7 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         check_moment_condition, extract_copula,
                         make_uniform_grid, merge, sample_comonotone,
                         sample_fbm_copula)
-from copulaproc import _quadrature, rng
+from copulaproc import _parallel, _quadrature, rng
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
 
@@ -69,6 +74,125 @@ def test_column_groups_match_a_per_column_loop_bitwise(m):
         assert np.array_equal(ens.paths, _loop_merge(cop, family)), family.kind
         back = extract_copula(ens, family, aux_seed=7)
         assert np.array_equal(back.paths, _loop_extract(ens, family, 7)), family.kind
+
+
+@pytest.fixture
+def short_switch_interval():
+    # threads interleave often, so columns written by the wrong group, or
+    # not at all, would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    started = []
+    thread = threading.Thread
+
+    def spy(*args, **kwargs):
+        started.append(1)
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(_parallel.threading, "Thread", spy)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("m", [2, 7, 8, 9, 17])
+def test_column_groups_match_the_loop_for_any_cpu_count(
+        monkeypatch, short_switch_interval, m, cpus):
+    # groups of 8 // cpus columns of 4096 rows or more go to one thread
+    # per CPU; the loop runs on one CPU
+    grid = make_uniform_grid(1.0, 2.0, m)
+    cop = sample_fbm_copula(grid, 0.5, 4100, seed=m)
+    for family in _column_group_families(grid):
+        monkeypatch.setattr(_parallel, "usable_cpus", lambda: 1)
+        want = _loop_merge(cop, family)
+        want_back = _loop_extract(ProcessEnsemble(grid, want), family, 7)
+        monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
+        ens = merge(cop, family)
+        assert np.array_equal(ens.paths, want), family.kind
+        back = extract_copula(ens, family, aux_seed=7)
+        assert np.array_equal(back.paths, want_back), family.kind
+
+
+def _affinity():
+    return os.sched_getaffinity(0) if _parallel.CAN_BIND else None
+
+
+def test_column_group_error_in_a_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 3)
+    caller = threading.get_ident()
+    raised = []
+    worker_raised = threading.Event()
+
+    def sigma(t):
+        if threading.get_ident() != caller:
+            raised.append(LookupError("raised in a worker"))
+            worker_raised.set()
+            raise raised[-1]
+        # groups go to whichever thread asks first: the caller holds its
+        # first one until a worker has taken another
+        worker_raised.wait(10.0)
+        return 1.0
+
+    cop = sample_fbm_copula(make_uniform_grid(1.0, 2.0, 17), 0.5, 4096, seed=1)
+    running = threading.active_count()
+    mask = _affinity()
+    with pytest.raises(LookupError, match="raised in a worker") as info:
+        merge(cop, GaussianScale(sigma))
+    assert any(info.value is exc for exc in raised)
+    assert threading.active_count() == running
+    assert _affinity() == mask
+
+
+@pytest.mark.parametrize("rows, threads", [(4095, 0), (4096, 1)])
+def test_column_groups_are_shared_from_4096_rows(monkeypatch, started_threads,
+                                                 rows, threads):
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    cop = sample_comonotone(make_uniform_grid(1.0, 2.0, 9), rows, seed=1)
+    merge(cop, Pareto(1.0, 4.0))
+    assert len(started_threads) == threads
+
+
+def test_mixture_inside_a_column_group_starts_no_threads(monkeypatch, started_threads):
+    # 4100 rows are three mixture blocks, which the kernel alone would
+    # split between the two CPUs; inside a column group it runs them inline
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    grid = make_uniform_grid(1.0, 2.0, 17)
+    family = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=lambda t: t)
+    family.cdf(1.0, np.zeros(4100))
+    assert len(started_threads) == 1
+    started_threads.clear()
+    ens = merge(sample_fbm_copula(grid, 0.5, 4100, seed=3), family)
+    extract_copula(ens, family, aux_seed=1)
+    # one executor worker per call beside the caller
+    assert len(started_threads) == 2
+
+
+def test_atomic_extraction_writes_over_its_auxiliary_uniforms():
+    # the output is the auxiliary matrix, overwritten column by column, so
+    # the peak is one n x m matrix plus the column groups and temporaries
+    n, m = 4_000, 33
+    grid = make_uniform_grid(1.0, 2.0, m)
+    paths = np.round(np.random.default_rng(5).normal(size=(n, m)), 1)
+    family = Empirical(grid, paths.T)
+    ens = ProcessEnsemble(grid, paths)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = extract_copula(ens, family, aux_seed=2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert np.array_equal(back.paths, _loop_extract(ens, family, 2))
+    assert peak < 2.5 * n * m * 8, peak / (n * m * 8)
 
 
 @pytest.mark.parametrize("family", [
