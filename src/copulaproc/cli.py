@@ -32,10 +32,11 @@ import scipy
 from . import __version__
 from .copulas import CopulaModel
 from .errors import (AssumptionViolatedError, InvalidArgumentError,
-                     NumericFailureError, UnsupportedOperationError)
+                     NumericFailureError, UnsupportedOperationError, check_int)
 from .grid import TimeGrid, make_uniform_grid
 from .kl import kl_from_ensemble, tail_energy
 from .marginals import FAMILY_KINDS, LognormalMixing
+from .rng import check_seed
 from .robustness import (MINORANT_PRESETS, ExperimentConfig, check_assumption,
                          pareto_elliptical_experiment)
 from .serialize import sha256_file, write_csv, write_json, write_matrix_csv
@@ -66,19 +67,18 @@ def _require(section: dict, key: str, context: str):
 
 
 def _float(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(
-            f"config key {where} must be a number, got {value!r}") from None
+    """A JSON number or numeric string as a float; never a JSON boolean."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidArgumentError(f"config key {where} must be a number, got {value!r}")
 
 
-def _int(value, where: str, minimum: int | None = None) -> int:
-    if (not isinstance(value, int) or isinstance(value, bool)
-            or (minimum is not None and value < minimum)):
-        kind = "an integer" if minimum is None else f"an integer >= {minimum}"
-        raise InvalidArgumentError(f"config key {where} must be {kind}, got {value!r}")
-    return value
+def _int(value, where: str, minimum: int = 0) -> int:
+    """A JSON integer (never a boolean or a float) of at least ``minimum``."""
+    return check_int(value, f"config key {where}", minimum)
 
 
 def _int_list(value, where: str) -> list:
@@ -149,7 +149,7 @@ def _sample(cfg, grid, context=""):
     section, prefix = (cfg[context], f"{context}.") if context else (cfg, "")
     model = _parse_model(_require(section, "model", context), prefix + "model")
     n_paths = _int(_require(section, "n_paths", context), prefix + "n_paths", 1)
-    seed = _int(_require(cfg, "seed", ""), "seed", 0)
+    seed = _int(_require(cfg, "seed", ""), "seed")
     return model.sample(grid, n_paths, seed)
 
 
@@ -177,7 +177,7 @@ def _run_simulate(cfg, outdir):
 def _run_wasserstein(cfg, outdir):
     _check_keys(cfg, ("grid", "p", "family_a", "family_b", "mc", "seed"), "")
     grid = _parse_grid(_require(cfg, "grid", ""))
-    p = _require(cfg, "p", "")
+    p = _int(_require(cfg, "p", ""), "p", 1)
     family_a = _parse_family(_require(cfg, "family_a", ""), "family_a")
     family_b = _parse_family(_require(cfg, "family_b", ""), "family_b")
     report = pathspace_wasserstein_same_copula(family_a, family_b, grid, p)
@@ -294,10 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the config's master seed (u64)")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="accepted for interface stability and ignored; the "
-                              "scale-mixture kernel uses the CPUs in the process's "
-                              "affinity mask, and outputs are byte-identical for any "
-                              "CPU count, BLAS thread count or value of this flag")
+                         help="accepted for interface stability and ignored; merge, "
+                              "extract_copula and the scale-mixture kernel share their "
+                              "work over the CPUs in the process's affinity mask, and "
+                              "outputs are byte-identical for any CPU count, BLAS "
+                              "thread count or value of this flag")
     return parser
 
 
@@ -317,13 +318,10 @@ def _load_config(path) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise InvalidArgumentError(f"--threads must be >= 1, got {args.threads}")
+        check_int(args.threads, "--threads", 1)
         cfg = _load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0 or args.seed > 2**64 - 1:
-                raise InvalidArgumentError(f"--seed out of u64 range: {args.seed}")
-            cfg["seed"] = args.seed
+            cfg["seed"] = check_seed(args.seed)
         os.makedirs(args.out, exist_ok=True)
         extras, files = _COMMANDS[args.command][0](cfg, args.out)
         manifest = {

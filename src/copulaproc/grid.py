@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericFailureError
+from .errors import InvalidArgumentError, NumericFailureError, check_int
 
 _WEIGHT_SUM_RTOL = 1e-12
 
@@ -81,11 +81,10 @@ class TimeGrid:
 
 def make_uniform_grid(a: float, b: float, m: int) -> TimeGrid:
     """Uniform grid with m points on [a, b] and trapezoid weights."""
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise InvalidArgumentError(f"m must be an integer >= 2, got {m!r}")
+    m = check_int(m, "m", 2)
     if not (np.isfinite(a) and np.isfinite(b) and b > a):
         raise InvalidArgumentError(f"need finite b > a, got a={a!r}, b={b!r}")
-    points = np.linspace(float(a), float(b), int(m))
+    points = np.linspace(float(a), float(b), m)
     # endpoints must be exact despite linspace rounding
     points[0], points[-1] = float(a), float(b)
     return TimeGrid(float(a), float(b), points, trapezoid_weights(points))

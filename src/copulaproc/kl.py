@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidArgumentError, NumericFailureError
+from .errors import InvalidArgumentError, NumericFailureError, check_int
 from .grid import TimeGrid
 from .sklar import ProcessEnsemble
 
@@ -100,13 +100,6 @@ def kl_from_ensemble(ensemble: ProcessEnsemble) -> KLDecomposition:
     return kl_expand(cov, ensemble.grid, mean=mean)
 
 
-def _check_n_keep(kl: KLDecomposition, n_keep: int) -> int:
-    if not isinstance(n_keep, (int, np.integer)) or not 1 <= n_keep <= kl.grid.m:
-        raise InvalidArgumentError(
-            f"n_keep must be an integer in [1, {kl.grid.m}], got {n_keep!r}")
-    return int(n_keep)
-
-
 def truncate(ensemble: ProcessEnsemble, kl: KLDecomposition,
              n_keep: int) -> ProcessEnsemble:
     """Project centered paths on the leading eigenfunctions and rebuild.
@@ -117,7 +110,7 @@ def truncate(ensemble: ProcessEnsemble, kl: KLDecomposition,
     in place, so one n_paths x m array is alive here at a time, not three;
     the values are those of ``scores @ lead.T + mean`` bit for bit.
     """
-    n_keep = _check_n_keep(kl, n_keep)
+    n_keep = check_int(n_keep, "n_keep", 1, kl.grid.m)
     if ensemble.grid != kl.grid:
         raise InvalidArgumentError("ensemble and expansion grids differ")
     lead = kl.eigenfunctions[:, :n_keep]
@@ -131,5 +124,5 @@ def truncate(ensemble: ProcessEnsemble, kl: KLDecomposition,
 
 def tail_energy(kl: KLDecomposition, n_keep: int) -> float:
     """Sum of the eigenvalues dropped by keeping n_keep terms."""
-    n_keep = _check_n_keep(kl, n_keep)
+    n_keep = check_int(n_keep, "n_keep", 1, kl.grid.m)
     return float(kl.eigenvalues[n_keep:].sum())

@@ -15,20 +15,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_int
 
-_UINT64_MAX = 2**64 - 1
 #: a fresh Philox has used none of its 4-word output block
 _PHILOX_BUFFER_SIZE = 4
 
 
 def check_seed(seed: int) -> int:
     """Validate a master seed (an integer in [0, 2**64)) and return it."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) <= _UINT64_MAX:
-        raise InvalidArgumentError(f"seed must fit in an unsigned 64-bit value, got {seed}")
-    return int(seed)
+    return check_int(seed, "seed", 0, 2**64 - 1)
 
 
 def path_generator(seed: int, index: int) -> np.random.Generator:
@@ -54,9 +49,7 @@ def path_rows(seed: int, n_paths: int, n_cols: int, draw) -> np.ndarray:
     32-bit half, exactly the state of a new ``path_generator(seed, i)``.
     """
     seed = check_seed(seed)
-    for name, n in (("n_paths", n_paths), ("n_cols", n_cols)):
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise InvalidArgumentError(f"{name} must be a positive integer, got {n!r}")
+    n_paths, n_cols = check_int(n_paths, "n_paths", 1), check_int(n_cols, "n_cols", 1)
     gen = path_generator(seed, 0)
     bit_generator = gen.bit_generator
     key = [seed, 0]

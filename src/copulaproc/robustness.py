@@ -34,13 +34,14 @@ import numpy as np
 from ._quadrature import per_time_integrals, tail_checked_integral
 from .copulas import elliptical_pretransform
 from .errors import (AssumptionViolatedError, InvalidArgumentError,
-                     NumericFailureError)
+                     NumericFailureError, check_int)
 from .grid import TimeGrid, integrate, make_uniform_grid
 from .kl import kl_from_ensemble, tail_energy, truncate
 from .marginals import (GaussianScale, LognormalMixing, MarginalFamily,
                         Pareto, empirical_family_from_ensemble)
+from .rng import check_seed
 from .sklar import ProcessEnsemble, extract_copula, merge
-from .transport import (abs_power_gap, mc_coupling_cost,
+from .transport import (MAX_P, abs_power_gap, check_coupled, mc_coupling_cost,
                         pathspace_wasserstein_same_copula)
 
 #: endpoint cut for robustness quadratures; the complement form keeps
@@ -55,8 +56,7 @@ _AUX_SEED_Y = 0x636F70_02
 
 def rho(p, epsilon: float, q: float, beta: float) -> float:
     """Copula-term exponent; strictly inside (0, 1) on the valid box."""
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 1:
-        raise InvalidArgumentError(f"p must be an integer >= 1, got {p!r}")
+    p = check_int(p, "p", 1)
     epsilon, q, beta = float(epsilon), float(q), float(beta)
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise InvalidArgumentError(f"epsilon must be positive, got {epsilon}")
@@ -64,7 +64,6 @@ def rho(p, epsilon: float, q: float, beta: float) -> float:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
     if not np.isfinite(beta) or not 0.0 < beta <= 1.0:
         raise InvalidArgumentError(f"beta must lie in (0, 1], got {beta}")
-    p = int(p)
     denom = p * (p + epsilon) * (q + beta) - p * q * beta
     return epsilon * q * beta / denom
 
@@ -340,17 +339,12 @@ def evaluate_bound(ens_x: ProcessEnsemble, family_x: MarginalFamily,
     |U^X - U^Y|**q is built in one buffer, reused in place, and the two
     extracted copulas are freed before it is reduced.
     """
-    if ens_x.grid != ens_y.grid or ens_x.n_paths != ens_y.n_paths:
-        raise InvalidArgumentError(
-            "ensembles are not coupled: grids or path counts differ")
-    if params.p not in (1, 2, 3, 4):
-        raise InvalidArgumentError(
-            f"evaluate_bound supports p in (1, 2, 3, 4), got {params.p}")
+    check_coupled(ens_x, ens_y)
+    p = check_int(params.p, "params.p", 1, MAX_P)
     grid = ens_x.grid
     r = params.rho
     k_val = float(constant) if constant is not None else constant_K(params, family_y, grid)
 
-    p = params.p
     lhs, lhs_power, power_se = mc_coupling_cost(ens_x, ens_y, p)
     lhs_se = _distance_se(lhs, power_se, p)
 
@@ -407,11 +401,8 @@ def copula_distance_bound(tilde_x: ProcessEnsemble, tilde_y: ProcessEnsemble,
     the realized coupling cost.  Both inequalities are verified within
     Monte Carlo tolerance before the report is returned.
     """
-    if q not in (1, 2, 3, 4):
-        raise InvalidArgumentError(f"q must be in (1, 2, 3, 4), got {q!r}")
-    if tilde_x.grid != tilde_y.grid or tilde_x.n_paths != tilde_y.n_paths:
-        raise InvalidArgumentError(
-            "ensembles are not coupled: grids or path counts differ")
+    q = check_int(q, "q", 1, MAX_P)
+    check_coupled(tilde_x, tilde_y)
     if not family_ty.has_density:
         raise InvalidArgumentError(
             "the bound needs a bounded density for the second family")
@@ -481,20 +472,15 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 f"alpha = {self.alpha} violates the margin alpha >= 2 + gamma "
                 f"= {2.0 + self.gamma}: the squared-moment control fails")
-        for name in ("m", "n_paths"):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or value < 1):
-                raise InvalidArgumentError(
-                    f"{name} must be a positive integer, got {value!r}")
+        m = check_int(self.m, "m", 1)
+        check_int(self.n_paths, "n_paths", 1)
+        check_seed(self.seed)
+        check_int(self.p, "p", 1, MAX_P)
         # checked here, not by ``truncate`` after the mixture extraction
-        m = int(self.m)
-        if len(self.n_keep) < 1 or not all(
-                isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-                and 1 <= k <= m for k in self.n_keep):
-            raise InvalidArgumentError(
-                f"n_keep must be a nonempty list of integers in [1, m = {m}], "
-                f"got {self.n_keep!r}")
+        if len(self.n_keep) < 1:
+            raise InvalidArgumentError("n_keep must be a nonempty list of integers")
+        for k in self.n_keep:
+            check_int(k, "n_keep", 1, m)
 
 
 @dataclass(frozen=True)

@@ -29,19 +29,22 @@ import numpy as np
 from ._quadrature import (adaptive_unit_integral, merge_steps, per_time_integrals,
                           step_gap_integral, step_power_integral)
 from .copulas import CopulaEnsemble
-from .errors import InvalidArgumentError, NumericFailureError
+from .errors import InvalidArgumentError, NumericFailureError, check_int
 from .grid import TimeGrid, integrate
 from .marginals import MarginalFamily
 from .sklar import ProcessEnsemble, merge
 
 _TRANSPORT_DELTA = 1e-9
-_ALLOWED_P = (1, 2, 3, 4)
+#: the highest supported order p
+MAX_P = 4
 
 
-def _check_p(p) -> int:
-    if p not in _ALLOWED_P:
-        raise InvalidArgumentError(f"p must be one of {_ALLOWED_P}, got {p!r}")
-    return int(p)
+def check_coupled(ens_x: ProcessEnsemble, ens_y: ProcessEnsemble) -> None:
+    """Raise unless the ensembles share their grid and path count, as
+    ensembles coupled path by path must."""
+    if ens_x.grid != ens_y.grid or ens_x.n_paths != ens_y.n_paths:
+        raise InvalidArgumentError(
+            "ensembles are not coupled: grids or path counts differ")
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def wasserstein1d_quantile(family_a: MarginalFamily, family_b: MarginalFamily,
     segments where Q_A - Q_B changes sign split at the crossing, and the
     graded rule on the two end segments.
     """
-    p = _check_p(p)
+    p = check_int(p, "p", 1, MAX_P)
     if family_a is family_b:
         return 0.0
     power = _quantile_gap(family_a, family_b, p)(float(t))
@@ -116,7 +119,7 @@ def wasserstein1d_quantile(family_a: MarginalFamily, family_b: MarginalFamily,
 
 def wasserstein1d_empirical(samples_a, samples_b, p: int) -> float:
     """W_p between two equal-size empirical samples (sorted matching)."""
-    p = _check_p(p)
+    p = check_int(p, "p", 1, MAX_P)
     a = np.asarray(samples_a, dtype=float).ravel()
     b = np.asarray(samples_b, dtype=float).ravel()
     if a.size != b.size or a.size == 0:
@@ -135,7 +138,7 @@ def pathspace_wasserstein_same_copula(family_a: MarginalFamily,
     Computes per_t = W_p(F_A,t, F_B,t) on the grid and integrates the p-th
     powers over time; the Monte Carlo fields stay unset.
     """
-    p = _check_p(p)
+    p = check_int(p, "p", 1, MAX_P)
     if family_a is family_b:
         return TransportReport(p=p, integrated=0.0, per_t=np.zeros(grid.m))
     power_at = _quantile_gap(family_a, family_b, p)
@@ -162,9 +165,8 @@ def mc_coupling_cost(ens_x: ProcessEnsemble, ens_y: ProcessEnsemble, p: int):
     and power_se is the standard error of the per-path mean.  The gap
     |X - Y|**p is built in one buffer, reused in place by ``abs_power_gap``.
     """
-    p = _check_p(p)
-    if ens_x.grid != ens_y.grid or ens_x.n_paths != ens_y.n_paths:
-        raise InvalidArgumentError("ensembles must share grid and path count")
+    p = check_int(p, "p", 1, MAX_P)
+    check_coupled(ens_x, ens_y)
     per_path = abs_power_gap(ens_x.paths, ens_y.paths, p) @ ens_x.grid.weights
     power_mean = float(np.mean(per_path))
     if ens_x.n_paths > 1:
@@ -196,14 +198,12 @@ def weighted_cosine_basis(grid: TimeGrid, n_basis: int) -> np.ndarray:
     Starts from cosines cos(k pi (t - a)/(b - a)) and applies modified
     Gram-Schmidt with one reorthogonalization pass.
     """
-    if not isinstance(n_basis, (int, np.integer)) or not 1 <= n_basis <= grid.m:
-        raise InvalidArgumentError(
-            f"n_basis must be an integer in [1, {grid.m}], got {n_basis!r}")
+    n_basis = check_int(n_basis, "n_basis", 1, grid.m)
     tau = (grid.points - grid.a) / (grid.b - grid.a)
-    raw = np.cos(np.pi * np.outer(tau, np.arange(int(n_basis))))
+    raw = np.cos(np.pi * np.outer(tau, np.arange(n_basis)))
     w = grid.weights
     basis = np.empty_like(raw)
-    for k in range(int(n_basis)):
+    for k in range(n_basis):
         v = raw[:, k].copy()
         for _ in range(2):  # second pass controls rounding loss
             for i in range(k):
@@ -226,8 +226,7 @@ def basis_path_consistency_check(ens_x: ProcessEnsemble, ens_y: ProcessEnsemble,
     samples.  Equality requires the monotone (shared-copula) coupling and
     a complete basis; a truncated basis can only fall short.
     """
-    if ens_x.grid != ens_y.grid or ens_x.n_paths != ens_y.n_paths:
-        raise InvalidArgumentError("ensembles must share grid and path count")
+    check_coupled(ens_x, ens_y)
     grid = ens_x.grid
     per_t = np.array([
         wasserstein1d_empirical(ens_x.paths[:, j], ens_y.paths[:, j], 2) ** 2
@@ -239,7 +238,7 @@ def basis_path_consistency_check(ens_x: ProcessEnsemble, ens_y: ProcessEnsemble,
     scores_y = ens_y.paths @ proj
     basis_side = float(sum(
         wasserstein1d_empirical(scores_x[:, k], scores_y[:, k], 2) ** 2
-        for k in range(int(n_basis))))
+        for k in range(basis.shape[1])))
     return ConsistencyReport(path_side=float(path_side),
                              basis_side=basis_side,
                              gap=float(path_side - basis_side))

@@ -233,6 +233,19 @@ def test_family_config_errors_exit_2(tmp_path, capsys, section, named):
                "family": {"kind": "pareto", "x_min": 1.0, "alpha": 3.0},
                "params": {"p": "1"}},
      "params.p"),
+    ("wasserstein", {"grid": {"a": 0.0, "b": 1.0, "m": 3}, "p": True,
+                     "family_a": {"kind": "gaussian_scale", "sigma": 1.0},
+                     "family_b": {"kind": "gaussian_scale", "sigma": 2.0}},
+     "config key p "),
+    ("wasserstein", {"grid": {"a": 0.0, "b": 1.0, "m": 3}, "p": 2.0,
+                     "family_a": {"kind": "gaussian_scale", "sigma": 1.0},
+                     "family_b": {"kind": "gaussian_scale", "sigma": 2.0}},
+     "config key p "),
+    ("check", {"mode": "moment", "p": 1, "grid": {"a": True, "b": 2.0, "m": 3},
+               "family": {"kind": "pareto", "x_min": 1.0, "alpha": 3.0}},
+     "grid.a"),
+    ("simulate", dict(SIMULATE_CFG, family={"kind": "gaussian_scale", "sigma": True}),
+     "family.sigma"),
 ])
 def test_non_numeric_config_value_exits_2(tmp_path, capsys, command, cfg, named):
     rc, _ = _run(tmp_path, command, cfg)

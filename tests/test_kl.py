@@ -130,3 +130,14 @@ def test_kl_expand_validation():
         truncate(ens, kl, 0)
     with pytest.raises(InvalidArgumentError):
         truncate(ens, kl, GRID.m + 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ens, kl: truncate(ens, kl, True),
+    lambda ens, kl: tail_energy(kl, True),
+], ids=["truncate", "tail_energy"])
+def test_n_keep_must_be_an_integer_not_a_bool(call):
+    # n_keep = True used to run as n_keep = 1
+    ens = merge(sample_fbm_copula(GRID, 0.5, 50, seed=1), GaussianScale(1.0))
+    with pytest.raises(InvalidArgumentError, match="n_keep"):
+        call(ens, kl_from_ensemble(ens))

@@ -388,3 +388,22 @@ def test_minorant_param_validation():
         gaussian_minorant_params(fam, GRID)
     with pytest.raises(InvalidArgumentError):
         pareto_minorant_params(GaussianScale(1.0), GRID)
+
+
+@pytest.mark.parametrize("q", [True, 2.0])
+def test_copula_distance_bound_needs_an_integer_q(q):
+    # q = True used to run as q = 1, and q = 2.0 as q = 2
+    cop = sample_fbm_copula(GRID, 0.5, 100, seed=2)
+    fam_x, fam_y = GaussianScale(1.0), GaussianScale(1.0, mean=0.4)
+    with pytest.raises(InvalidArgumentError, match="q must be an integer"):
+        copula_distance_bound(merge(cop, fam_x), merge(cop, fam_y), fam_x, fam_y, q=q)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 7.9), ("seed", True), ("seed", -1), ("p", 1.0), ("p", True), ("p", 5)])
+def test_experiment_config_rejects_a_bad_seed_or_p_up_front(field, value):
+    # seed = 7.9 used to run as seed 7 and p = 1.0 or True as p = 1, while
+    # p = 5 failed in evaluate_bound after the sampling and the extraction
+    with pytest.raises(InvalidArgumentError, match=field):
+        ExperimentConfig(m=9, n_paths=300, n_keep=(1, 2), **{field: value})
+    assert ExperimentConfig(seed=np.uint64(2**64 - 1), p=np.int64(2)).p == 2

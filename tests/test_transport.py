@@ -265,3 +265,35 @@ def test_p_validation():
         wasserstein1d_quantile(fam, fam, t=1.0, p=0)
     with pytest.raises(InvalidArgumentError):
         wasserstein1d_empirical(np.ones(3), np.ones(4), p=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam, ens: weighted_cosine_basis(GRID, True),
+    lambda fam, ens: pathspace_wasserstein_same_copula(fam, GaussianScale(2.0), GRID, p=True),
+    lambda fam, ens: pathspace_wasserstein_same_copula(fam, GaussianScale(2.0), GRID, p=2.0),
+    lambda fam, ens: wasserstein1d_quantile(fam, GaussianScale(2.0), t=1.0, p=True),
+    lambda fam, ens: mc_coupling_cost(ens, ens, True),
+    lambda fam, ens: basis_path_consistency_check(ens, ens, n_basis=True),
+], ids=["cosine_basis", "pathspace_bool", "pathspace_float", "quantile_bool",
+        "mc_cost_bool", "consistency_bool"])
+def test_integer_arguments_refuse_bools_and_floats(call):
+    # each of these used to run with True as 1, and p = 2.0 as 2
+    fam = GaussianScale(1.0)
+    ens = merge(sample_fbm_copula(GRID, 0.5, 8, seed=1), fam)
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        call(fam, ens)
+
+
+def test_uncoupled_ensembles_get_one_message():
+    from copulaproc.transport import check_coupled
+    fam = GaussianScale(1.0)
+    ens = merge(sample_fbm_copula(GRID, 0.5, 8, seed=1), fam)
+    fewer = merge(sample_fbm_copula(GRID, 0.5, 6, seed=1), fam)
+    coarser = merge(sample_fbm_copula(make_uniform_grid(1.0, 2.0, 5), 0.5, 8, seed=1), fam)
+    for other in (fewer, coarser):
+        for call in (lambda: check_coupled(ens, other),
+                     lambda: mc_coupling_cost(ens, other, 1),
+                     lambda: basis_path_consistency_check(ens, other, 3)):
+            with pytest.raises(InvalidArgumentError, match="ensembles are not coupled"):
+                call()
+    check_coupled(ens, merge(sample_fbm_copula(GRID, 0.5, 8, seed=2), fam))
