@@ -198,13 +198,21 @@ class MarginalFamily:
         return self._evaluate(self._pdf, t, x)
 
     def distributional_transform(self, t, x, v):
-        """F_t(x-) + v * (F_t(x) - F_t(x-)); exact uniformizer at atoms."""
+        """F_t(x-) + v * (F_t(x) - F_t(x-)); exact uniformizer at atoms.
+
+        At an atom, a value equal to F_t(x-) (v = 0, or a v so small that
+        the sum rounds to F_t(x-)) becomes the next float above it: the
+        quantile sends F_t(x-) to the level below x, and that float to x.
+        """
         varr = _check_unit(v, "v")
         xarr = np.asarray(x, dtype=float)
         if xarr.shape != varr.shape:
             raise InvalidArgumentError("x and v must have matching shapes")
         left, right = self._cdf_limits(float(t), np.atleast_1d(xarr))
         out = left + np.atleast_1d(varr) * (right - left)
+        low = (out <= left) & (right > left)
+        if low.any():
+            out[low] = np.nextafter(left[low], 1.0)
         return _match(x, out)
 
     def density_sup_bound(self, grid: TimeGrid):

@@ -35,6 +35,10 @@ def path_generator(seed: int, index: int) -> np.random.Generator:
     seed = check_seed(seed)
     if index < 0:
         raise InvalidArgumentError(f"path index must be nonnegative, got {index}")
+    return _keyed(seed, index)
+
+
+def _keyed(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -68,6 +72,13 @@ def path_rows(seed: int, n_paths: int, n_cols: int, draw) -> np.ndarray:
 def uniform_rows(seed: int, n_paths: int, n_cols: int) -> np.ndarray:
     """(n_paths, n_cols) uniforms; row i comes from substream (seed, i)."""
     return path_rows(seed, n_paths, n_cols, lambda gen: gen.random(n_cols))
+
+
+def uniform_row(seed: int, index: int, n_cols: int) -> np.ndarray:
+    """Row ``index`` of every ``uniform_rows(seed, n, n_cols)`` with n > index,
+    drawn alone in O(n_cols)."""
+    return _keyed(check_seed(seed), check_int(index, "index", 0)).random(
+        check_int(n_cols, "n_cols", 1))
 
 
 def normal_rows(seed: int, n_paths: int, n_cols: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import rng
 from ._quadrature import per_time_integrals, tail_checked_integral
 from .copulas import elliptical_pretransform
 from .errors import (AssumptionViolatedError, InvalidArgumentError,
@@ -39,7 +40,6 @@ from .grid import TimeGrid, integrate, make_uniform_grid
 from .kl import kl_from_ensemble, tail_energy, truncate
 from .marginals import (GaussianScale, LognormalMixing, MarginalFamily,
                         Pareto, empirical_family_from_ensemble)
-from .rng import check_seed
 from .sklar import ProcessEnsemble, extract_copula, merge
 from .transport import (MAX_P, abs_power_gap, check_coupled, mc_coupling_cost,
                         pathspace_wasserstein_same_copula)
@@ -335,9 +335,12 @@ def evaluate_bound(ens_x: ProcessEnsemble, family_x: MarginalFamily,
 
     The ensembles must be generated on shared randomness with equal shape.
     ``constant`` and ``marginal_term`` accept precomputed values so sweeps
-    can reuse them; both default to fresh evaluation.  The copula gap
-    |U^X - U^Y|**q is built in one buffer, reused in place, and the two
-    extracted copulas are freed before it is reduced.
+    can reuse them; both default to fresh evaluation.  The reference to
+    ``ens_x`` is dropped once U^X is extracted, before U^Y, so a caller
+    that passes its only reference (``evaluate_bound(merge(...), ...)``)
+    has X freed there.  The copula gap |U^X - U^Y|**q is built in one
+    buffer, reused in place, and the two extracted copulas are freed
+    before it is reduced.
     """
     check_coupled(ens_x, ens_y)
     p = check_int(params.p, "params.p", 1, MAX_P)
@@ -352,8 +355,11 @@ def evaluate_bound(ens_x: ProcessEnsemble, family_x: MarginalFamily,
         marginal_term = pathspace_wasserstein_same_copula(
             family_x, family_y, grid, p).integrated
 
-    gap = abs_power_gap(extract_copula(ens_x, family_x, _AUX_SEED_X).paths,
-                        extract_copula(ens_y, family_y, _AUX_SEED_Y).paths, params.q)
+    u_x = extract_copula(ens_x, family_x, _AUX_SEED_X).paths
+    del ens_x
+    gap = abs_power_gap(u_x, extract_copula(ens_y, family_y, _AUX_SEED_Y).paths,
+                        params.q)
+    del u_x
     dist_power = float(np.mean(gap @ grid.weights))
     copula_term = k_val * dist_power ** (r / params.q)
 
@@ -472,10 +478,15 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 f"alpha = {self.alpha} violates the margin alpha >= 2 + gamma "
                 f"= {2.0 + self.gamma}: the squared-moment control fails")
+        if not isinstance(self.mixing, LognormalMixing):
+            raise InvalidArgumentError(
+                f"mixing must be a LognormalMixing, got {self.mixing!r}")
+        if not np.isfinite(self.x_min) or self.x_min <= 0.0:
+            raise InvalidArgumentError(f"x_min must be positive, got {self.x_min}")
         m = check_int(self.m, "m", 1)
         check_int(self.n_paths, "n_paths", 1)
-        check_seed(self.seed)
-        check_int(self.p, "p", 1, MAX_P)
+        rng.check_seed(self.seed)
+        rho(check_int(self.p, "p", 1, MAX_P), self.epsilon, self.q, self.beta)
         # checked here, not by ``truncate`` after the mixture extraction
         if len(self.n_keep) < 1:
             raise InvalidArgumentError("n_keep must be a nonempty list of integers")
@@ -522,12 +533,13 @@ def _loglog_slope(xs, ys):
 
 
 def _truncated_copula(tilde_y: ProcessEnsemble, decomposition, n_keep: int,
-                      aux_seed: int):
+                      aux_seed: int, aux: np.ndarray):
     """Copula of the n_keep-term KL truncation, through its empirical
-    marginals; the truncated paths and their family die on return."""
+    marginals and the auxiliary uniforms ``aux`` of ``aux_seed``; the
+    truncated paths and their family die on return."""
     truncated = truncate(tilde_y, decomposition, n_keep)
     return extract_copula(truncated, empirical_family_from_ensemble(truncated),
-                          aux_seed)
+                          aux_seed, aux=aux)
 
 
 def pareto_elliptical_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -539,9 +551,11 @@ def pareto_elliptical_experiment(config: ExperimentConfig) -> ExperimentReport:
     transform and re-merge, then evaluates the robustness bound of Y
     against it.  Marginals for the rebuilt process come from the true
     family or from the empirical CDFs of Y depending on
-    ``config.marginal_mode``.  Each n_paths x m intermediate is freed as
-    soon as it has been used, so at most six are alive at once with the
-    true marginals.
+    ``config.marginal_mode``.  The truncation levels share one matrix of
+    auxiliary uniforms, drawn once from ``seed + 211`` and read-only.
+    Each other n_paths x m intermediate is freed as soon as it has been
+    used, the rebuilt process inside ``evaluate_bound``, so at most six
+    are alive at once with the true marginals, V among them.
     """
     grid = make_uniform_grid(config.a, config.b, int(config.m))
     pre_paths, mix_family = elliptical_pretransform(
@@ -570,13 +584,17 @@ def pareto_elliptical_experiment(config: ExperimentConfig) -> ExperimentReport:
         marginal_term = pathspace_wasserstein_same_copula(
             family_n, family_y, grid, int(config.p)).integrated
 
+    aux_seed = int(config.seed) + 211
+    aux = rng.uniform_rows(aux_seed, tilde_y.n_paths, grid.m)
+    aux.setflags(write=False)
     rows = []
     for k in config.n_keep:
-        ens_k = merge(_truncated_copula(tilde_y, decomposition, int(k),
-                                        int(config.seed) + 211), family_n)
-        bound = evaluate_bound(ens_k, family_n, ens_y, family_y, params,
-                               constant=k_val, marginal_term=marginal_term)
-        del ens_k
+        # no name holds the rebuilt process: evaluate_bound frees it early
+        bound = evaluate_bound(
+            merge(_truncated_copula(tilde_y, decomposition, int(k), aux_seed, aux),
+                  family_n),
+            family_n, ens_y, family_y, params,
+            constant=k_val, marginal_term=marginal_term)
         rows.append(ExperimentRow(
             n_keep=int(k), lhs=bound.lhs, marginal_term=bound.marginal_term,
             copula_term=bound.copula_term, K=bound.K, rho=bound.rho,

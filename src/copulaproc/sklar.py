@@ -5,9 +5,9 @@ through the generalized inverse of the marginal family.  The extraction
 direction recovers a copula ensemble from process paths: continuous
 marginals apply F_t directly, atomic ones apply the distributional
 transform with auxiliary uniforms.  Only atomic families draw them, one
-per entry from the per-path substreams of ``aux_seed``; continuous
-families draw nothing.  Because every path has its own key, skipping the
-draws moves no other stream.
+per entry from the per-path substreams of ``aux_seed``, or read the
+caller's copy of that matrix; continuous families draw nothing.  Because
+every path has its own key, skipping the draws moves no other stream.
 """
 
 from __future__ import annotations
@@ -112,15 +112,21 @@ def merge(copula: CopulaEnsemble, family: MarginalFamily) -> ProcessEnsemble:
 
 
 def extract_copula(process: ProcessEnsemble, family: MarginalFamily,
-                   aux_seed: int) -> CopulaEnsemble:
+                   aux_seed: int, *, aux: np.ndarray | None = None) -> CopulaEnsemble:
     """Recover a copula ensemble via F_t or the distributional transform.
 
     Continuous families use U_t = F_t(X_t); families with atoms use
     F_t(x-) + V (F_t(x) - F_t(x-)) with per-entry auxiliary uniforms V
-    drawn from per-path substreams of ``aux_seed``, and the result is
-    written over the matrix of V.  ``aux_seed`` is validated, and recorded
-    as the ensemble seed, for every family.  As in ``merge``, the family
-    is called once per grid time on contiguous copies of the columns, in
+    from per-path substreams of ``aux_seed``.  Without ``aux`` they draw V
+    as ``rng.uniform_rows(aux_seed, n_paths, m)`` and write the result
+    over it.  A caller that extracts several ensembles of the same shape
+    under one seed may draw that matrix once and pass it as ``aux``: it is
+    read, never written, and the result goes to a fresh matrix, with the
+    same values bit for bit.  A wrong shape, or a first or last row other
+    than a fresh draw of that path's substream, is rejected.  Continuous
+    families ignore ``aux``.  ``aux_seed`` is validated, and recorded as
+    the ensemble seed, for every family.  As in ``merge``, the family is
+    called once per grid time on contiguous copies of the columns, in
     groups shared among one thread per CPU in the affinity mask, with the
     values of a loop over the strided columns; the hooks and time
     callables may run on several threads at once and must be pure.  The
@@ -132,13 +138,31 @@ def extract_copula(process: ProcessEnsemble, family: MarginalFamily,
     if family.is_continuous:
         out = _columnwise(points, family.cdf, np.empty_like(process.paths),
                           process.paths)
-    else:
+    elif aux is None:
         aux = rng.uniform_rows(aux_seed, process.n_paths, process.grid.m)
         out = _columnwise(points, family.distributional_transform, aux,
                           process.paths, aux)
+    else:
+        _check_aux(aux, aux_seed, process.paths.shape)
+        out = _columnwise(points, family.distributional_transform,
+                          np.empty_like(process.paths), process.paths, aux)
     np.clip(out, 0.0, 1.0, out=out)
     return CopulaEnsemble(process.grid, out, aux_seed,
                           f"extracted({family.kind})")
+
+
+def _check_aux(aux, aux_seed: int, shape) -> None:
+    """``aux`` must be ``rng.uniform_rows(aux_seed, *shape)``: its shape and
+    its first and last rows are checked, in O(m)."""
+    if not isinstance(aux, np.ndarray) or aux.shape != shape or aux.dtype != float:
+        got = (f"{aux.dtype} array of shape {aux.shape}"
+               if isinstance(aux, np.ndarray) else type(aux).__name__)
+        raise InvalidArgumentError(
+            f"aux must be a float64 array of shape {shape}, got {got}")
+    for i in (0, shape[0] - 1):
+        if not np.array_equal(aux[i], rng.uniform_row(aux_seed, i, shape[1])):
+            raise InvalidArgumentError(
+                f"aux row {i} is not the draw of aux_seed {aux_seed}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from copulaproc import (AssumptionViolatedError, Empirical, ExperimentConfig,
                         pareto_elliptical_experiment,
                         gaussian_minorant_params, pareto_minorant_params, rho,
                         sample_fbm_copula, truncate)
-from copulaproc import robustness
+from copulaproc import rng, robustness
 from copulaproc._quadrature import tail_checked_integral
 from copulaproc.copulas import elliptical_pretransform
 
@@ -360,6 +360,38 @@ def test_experiment_config_rejects_bad_sizes_up_front(field, value):
     with pytest.raises(InvalidArgumentError, match=field):
         ExperimentConfig(**kwargs)
     assert ExperimentConfig(m=np.int64(9), n_paths=np.int64(300), n_keep=(1, 9)).m == 9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("x_min", 0.0), ("x_min", -1.0), ("x_min", np.inf), ("x_min", np.nan),
+    ("epsilon", -1.0), ("epsilon", 0.0), ("epsilon", np.inf), ("q", 0.5),
+    ("q", np.nan), ("beta", 1.5), ("beta", 0.0), ("mixing", "x"), ("mixing", None)])
+def test_experiment_config_rejects_bad_marginal_and_exponent_inputs_up_front(field, value):
+    # x_min = 0 used to fail after the path draw, a bad epsilon, q or beta
+    # after the mixture extraction and merge, and mixing = "x" raised an
+    # AttributeError that named no field
+    kwargs = {"m": 9, "n_paths": 300, "n_keep": (1, 2), "seed": 4, field: value}
+    with pytest.raises(InvalidArgumentError, match=field):
+        ExperimentConfig(**kwargs)
+    assert ExperimentConfig(x_min=0.5, epsilon=2.0, q=1.0, beta=1.0,
+                            mixing=LognormalMixing(0.0, 0.0)).x_min == 0.5
+
+
+def test_experiment_draws_the_truncation_auxiliary_uniforms_once(monkeypatch):
+    # the five truncation levels share one matrix of seed + 211
+    seeds = []
+    draw = rng.uniform_rows
+
+    def spy(seed, n_paths, n_cols):
+        seeds.append(seed)
+        return draw(seed, n_paths, n_cols)
+
+    config = ExperimentConfig(n_paths=300, m=17, seed=5)
+    want = pareto_elliptical_experiment(config)
+    monkeypatch.setattr(rng, "uniform_rows", spy)
+    assert pareto_elliptical_experiment(config) == want
+    assert len(config.n_keep) == 5
+    assert seeds.count(5 + 211) == 1
 
 
 def test_experiment_holds_at_most_eight_ensembles():

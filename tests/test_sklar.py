@@ -11,9 +11,9 @@ from scipy import stats
 from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         InvalidArgumentError, LognormalMixing, Pareto,
                         ProcessEnsemble, ScaleMixtureGaussian, Uniform,
-                        check_moment_condition, extract_copula,
-                        make_uniform_grid, merge, sample_comonotone,
-                        sample_fbm_copula)
+                        check_moment_condition, empirical_family_from_ensemble,
+                        extract_copula, make_uniform_grid, merge,
+                        sample_comonotone, sample_fbm_copula)
 from copulaproc import _parallel, _quadrature, rng
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
@@ -195,6 +195,149 @@ def test_atomic_extraction_writes_over_its_auxiliary_uniforms():
     assert peak < 2.5 * n * m * 8, peak / (n * m * 8)
 
 
+def _tied_ensemble(n, m, seed=3):
+    # rounded normals: many ties within each column
+    grid = make_uniform_grid(1.0, 2.0, m)
+    return ProcessEnsemble(grid, np.round(np.random.default_rng(seed).normal(size=(n, m)), 1))
+
+
+def _shared_aux_families(ens):
+    # the ensemble's own family, and one of other tied samples
+    return [empirical_family_from_ensemble(ens),
+            _column_group_families(ens.grid)[-1]]
+
+
+def _read_only_aux(aux_seed, ens):
+    aux = rng.uniform_rows(aux_seed, ens.n_paths, ens.grid.m)
+    aux.setflags(write=False)
+    return aux, aux.copy()
+
+
+@pytest.mark.parametrize("n", [1, 4100])
+@pytest.mark.parametrize("m", [7, 8, 9, 17])
+def test_shared_aux_matches_the_seeded_draw_bitwise(n, m):
+    ens = _tied_ensemble(n, m)
+    aux, before = _read_only_aux(7, ens)
+    for family in _shared_aux_families(ens):
+        seeded = extract_copula(ens, family, aux_seed=7)
+        shared = extract_copula(ens, family, aux_seed=7, aux=aux)
+        assert np.array_equal(shared.paths, seeded.paths), family.kind
+        assert shared.seed == 7 and shared.model_tag == seeded.model_tag
+        assert np.array_equal(aux, before)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("rows", [4095, 4100])
+def test_shared_aux_matches_the_loop_for_any_cpu_count(
+        monkeypatch, short_switch_interval, rows, cpus):
+    # 4095 rows stay on the caller; 4100 go to column groups on each thread
+    ens = _tied_ensemble(rows, 17)
+    aux, before = _read_only_aux(7, ens)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
+    for family in _shared_aux_families(ens):
+        shared = extract_copula(ens, family, aux_seed=7, aux=aux)
+        assert np.array_equal(shared.paths, _loop_extract(ens, family, 7)), family.kind
+        assert np.array_equal(aux, before)
+
+
+def test_shared_aux_of_another_shape_or_seed_is_rejected():
+    ens = _tied_ensemble(50, 9)
+    family = empirical_family_from_ensemble(ens)
+    aux = rng.uniform_rows(7, 50, 9)
+    last_changed = aux.copy()
+    last_changed[-1, 4] = 0.5
+    for bad in (rng.uniform_rows(7, 50, 10), rng.uniform_rows(7, 49, 9), aux.T,
+                aux.astype(np.float32), aux.tolist(), rng.uniform_rows(8, 50, 9),
+                last_changed):
+        with pytest.raises(InvalidArgumentError, match="aux"):
+            extract_copula(ens, family, aux_seed=7, aux=bad)
+    # the first rows of a longer draw are the same substreams
+    longer = rng.uniform_rows(7, 60, 9)[:50]
+    assert np.array_equal(extract_copula(ens, family, 7, aux=longer).paths,
+                          extract_copula(ens, family, 7).paths)
+
+
+def _tie_pattern(pattern, grid, n, seed):
+    u = sample_fbm_copula(grid, 0.5, n, seed=seed).paths.copy()
+    if pattern == "distinct":
+        return u
+    if pattern == "seven levels":
+        return np.floor(7.0 * u)
+    if pattern == "two levels":
+        return (u > 0.3).astype(float)
+    if pattern == "one level":
+        return np.full_like(u, 2.5)
+    # columns alternate between distinct values and three levels
+    u[:, ::2] = np.floor(3.0 * u[:, ::2])
+    return u
+
+
+TIE_PATTERNS = ["distinct", "seven levels", "two levels", "one level", "mixed"]
+
+
+def _atomic_copulas(ens, family, aux_seeds):
+    # each seed's draw, extracted from the seed and from a passed matrix
+    for s in aux_seeds:
+        yield s, extract_copula(ens, family, s)
+        aux = rng.uniform_rows(s, ens.n_paths, ens.grid.m)
+        yield s, extract_copula(ens, family, s, aux=aux)
+
+
+# Sklar's theorem for atomic marginals (Rueschendorf 2009): the
+# distributional transform U of X satisfies X = F^{-1}(U) exactly, and the
+# copula of U agrees with the joint law of X on the range of the marginals
+@pytest.mark.parametrize("m", [2, 9, 17])
+@pytest.mark.parametrize("pattern", TIE_PATTERNS)
+def test_merge_inverts_atomic_extraction_exactly(pattern, m):
+    grid = make_uniform_grid(0.5, 3.0, m)
+    ens = ProcessEnsemble(grid, _tie_pattern(pattern, grid, 2000, seed=m))
+    family = empirical_family_from_ensemble(ens)
+    for s, copula in _atomic_copulas(ens, family, (0, 1, 2, 99, 2**64 - 1)):
+        assert np.array_equal(merge(copula, family).paths, ens.paths), s
+
+
+@pytest.mark.parametrize("v", [0.0, 1e-13, 5e-324])
+def test_a_tiny_auxiliary_uniform_keeps_its_atom(v):
+    # 0.75 + v / 20,000 rounds to F(15,000-) = 0.75, whose quantile is
+    # 14,999; so does v = 0
+    grid = make_uniform_grid(1.0, 2.0, 2)
+    col = np.arange(20_000.0)
+    family = Empirical(grid, np.stack([col, col]))
+    x = np.array([15_000.0, 19_999.0])
+    u = family.distributional_transform(1.0, x, np.full(2, v))
+    assert np.array_equal(u, np.nextafter(x / 20_000, 1.0))
+    assert np.array_equal(family.quantile(1.0, u), x)
+
+
+def _joint_counts(a, levels_a, b, levels_b):
+    """#{k : a_k <= levels_a[i], b_k <= levels_b[j]} for every (i, j)."""
+    below_a = (a[:, None] <= levels_a[None, :]).astype(float)
+    below_b = (b[:, None] <= levels_b[None, :]).astype(float)
+    return below_a.T @ below_b
+
+
+@pytest.mark.parametrize("m", [2, 9])
+@pytest.mark.parametrize("pattern", TIE_PATTERNS)
+def test_empirical_copula_counts_the_joint_empirical_cdf(pattern, m):
+    grid = make_uniform_grid(0.5, 3.0, m)
+    ens = ProcessEnsemble(grid, _tie_pattern(pattern, grid, 2000, seed=m + 40))
+    family = empirical_family_from_ensemble(ens)
+    pairs = sorted({(0, m - 1), (m // 2 - 1, m // 2), (m - 1, m - 1)})
+    levels = {}
+    for j in {j for pair in pairs for j in pair}:
+        values = np.unique(ens.paths[:, j])
+        # at most 25 levels, both ends included
+        values = values[np.unique(np.linspace(0, values.size - 1, 25).astype(int))]
+        t = grid.points[j]
+        levels[j] = values, family.cdf(t, values)
+    for s, copula in _atomic_copulas(ens, family, (1, 2, 99)):
+        for i, j in pairs:
+            (x_i, f_i), (x_j, f_j) = levels[i], levels[j]
+            want = _joint_counts(ens.paths[:, i], x_i, ens.paths[:, j], x_j)
+            got = _joint_counts(copula.paths[:, i], f_i, copula.paths[:, j], f_j)
+            assert np.array_equal(got, want), (s, i, j)
+
+
 @pytest.mark.parametrize("family", [
     GaussianScale(1.0),
     GaussianScale.power_law(0.5),
@@ -214,6 +357,9 @@ def test_extract_continuous_ignores_aux_seed():
     a = extract_copula(ens, fam, aux_seed=1)
     b = extract_copula(ens, fam, aux_seed=2)
     assert np.array_equal(a.paths, b.paths)
+    # a passed matrix of auxiliary uniforms is not even checked
+    c = extract_copula(ens, fam, aux_seed=1, aux=np.zeros((1, 1)))
+    assert np.array_equal(a.paths, c.paths)
 
 
 @pytest.mark.parametrize("aux_seed", [-1, 2**64, True, 1.5])
