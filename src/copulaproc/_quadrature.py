@@ -35,10 +35,9 @@ Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _START_NODES = 4096
 _REL_TOL = 1e-6
-#: endpoint ratio h(delta) / h(2 delta) = 2**kappa from which a tail counts
-#: as divergent: kappa = 1 - log2(1/0.95) ~ 0.926, where halving the cut
-#: gains increments that shrink by less than 5% per halving
-_TAIL_RATIO_MAX = 2.0 * 0.95
+#: kappa past which an end where h(s) ~ s**(-kappa) counts as divergent:
+#: log2(1.9) ~ 0.926, where halving the cut gains less than 5% per halving
+_TAIL_EXPONENT = np.log2(1.9)
 
 
 def _frozen(*arrays):
@@ -80,10 +79,14 @@ def graded_midpoint_nodes(delta: float, n_nodes: int):
 
 
 def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -> float:
-    """int_delta^{1-delta} f(u) du with node doubling.
+    """int_delta^{1-delta} f(u) du with node doubling, or +inf for a divergent end.
 
     Starts at ``_START_NODES`` = 4096 midpoints and doubles until successive
     values agree to ``_REL_TOL`` = 1e-6 relative or the node cap is reached.
+    An end is divergent, and the value +inf, when the first level finds h
+    = +inf at the end node s_0 or h(s_0) > (s_k/s_0)**0.926 h(s_k) at the
+    first node s_k at or past 2 s_0 (s = u below, 1 - u above), as for
+    h ~ s**(-kappa), kappa > 0.926; a bounded or vanishing end never is.
     """
     n = _START_NODES
     previous = None
@@ -92,6 +95,8 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
         vals = np.asarray(f(u, cu), dtype=float)
         if vals.shape != u.shape:
             raise InvalidArgumentError("integrand returned a wrong shape")
+        if n == _START_NODES and _divergent_end(u, cu, vals):
+            return float("inf")
         if not np.isfinite(vals).all():
             raise NumericFailureError("integrand produced non-finite values")
         total = float(w @ vals)
@@ -103,13 +108,20 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
         n *= 2
 
 
+def _divergent_end(u, cu, vals) -> bool:
+    """The end-node verdict of ``adaptive_unit_integral`` on h = ``vals``."""
+    k = int(np.searchsorted(u[:u.size // 2], 2.0 * u[0]))
+    h0, ratio = vals[[0, -1]], np.array([u[k] / u[0], cu[-1 - k] / cu[-1]])
+    return bool(np.any((h0 == np.inf) | (h0 > ratio ** _TAIL_EXPONENT * vals[[k, -1 - k]])))
+
+
 def per_time_integrals(points, value_at, invariant: bool):
     """``value_at(t)``, one integral, at every time t in ``points``.
 
     When ``invariant`` declares that the integral does not depend on t,
     it is evaluated once at the first time and that value is reported at
     every time.  Returns the per-time values, or None as soon as one time
-    integrates to +inf, as ``tail_checked_integral`` reports divergence.
+    integrates to +inf, as ``adaptive_unit_integral`` reports divergence.
     """
     per_t = np.empty(len(points))
     for j, t in enumerate(points[:1] if invariant else points):
@@ -119,22 +131,6 @@ def per_time_integrals(points, value_at, invariant: bool):
     if invariant:
         per_t[1:] = per_t[0]
     return per_t
-
-
-def tail_checked_integral(f: Integrand, delta: float) -> float:
-    """``adaptive_unit_integral(f, delta)``, or +inf for a divergent tail.
-
-    Near an endpoint a power-law integrand h(s) ~ s**(-kappa) has
-    h(delta) / h(2 delta) = 2**kappa, and int_0 h diverges for kappa >= 1.
-    The tail is declared divergent when h(delta) > 1.9 h(2 delta), that is
-    kappa > 0.926, at either end.  The comparison divides by nothing, so a
-    bounded or vanishing end (0 against 0) is never divergent.
-    """
-    cut = np.array([delta, 2.0 * delta])
-    h = np.asarray(f(np.r_[cut, 1.0 - cut], np.r_[1.0 - cut, cut]), dtype=float)
-    if h[0] > _TAIL_RATIO_MAX * h[1] or h[2] > _TAIL_RATIO_MAX * h[3]:
-        return float("inf")
-    return adaptive_unit_integral(f, delta)
 
 
 # ----- step quantiles --------------------------------------------------------

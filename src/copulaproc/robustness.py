@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from ._quadrature import per_time_integrals, tail_checked_integral
+from ._quadrature import adaptive_unit_integral, per_time_integrals
 from .copulas import elliptical_pretransform
 from .errors import (AssumptionViolatedError, InvalidArgumentError,
                      NumericFailureError, check_int)
@@ -180,7 +180,7 @@ def _tail_integral(family: MarginalFamily, params: RobustnessParams,
     minorant_invariant = (params.minorant == family.pdf
                           or getattr(params.minorant, "time_invariant", False))
     per_t = per_time_integrals(
-        grid.points, lambda t: tail_checked_integral(integrand_at(t), _ROBUST_DELTA),
+        grid.points, lambda t: adaptive_unit_integral(integrand_at(t), _ROBUST_DELTA),
         family.time_invariant and minorant_invariant)
     return float("inf") if per_t is None else integrate(grid, per_t)
 
@@ -202,8 +202,8 @@ def check_assumption(family_y: MarginalFamily, params: RobustnessParams,
     The x-lattice at each time covers the quantile range of levels
     [1e-6, 1 - 1e-6].  Monotonicity is checked branch-wise: nonincreasing
     to the right of the window, nondecreasing to the left.  The tail
-    integral is reported as +inf when ``tail_checked_integral`` finds a
-    divergent endpoint at some time.
+    integral is +inf when, at some time, ``adaptive_unit_integral`` finds it
+    overflowing or growing like s**(-kappa), kappa > 0.926, at an end node.
     """
     if not family_y.has_density:
         raise InvalidArgumentError("assumption check requires a density")
@@ -262,7 +262,7 @@ def constant_K(params: RobustnessParams, family_y: MarginalFamily,
         return lambda u, cu: np.abs(family_y.quantile_tail(t, u, cu)) ** exponent
 
     per_t = per_time_integrals(
-        grid.points, lambda t: tail_checked_integral(integrand_at(t), _ROBUST_DELTA),
+        grid.points, lambda t: adaptive_unit_integral(integrand_at(t), _ROBUST_DELTA),
         family_y.time_invariant)
     if per_t is None:
         raise AssumptionViolatedError(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng
 from ._parallel import share, threads_for
-from ._quadrature import per_time_integrals, step_power_integral, tail_checked_integral
+from ._quadrature import adaptive_unit_integral, per_time_integrals, step_power_integral
 from .copulas import CopulaEnsemble
 from .errors import InvalidArgumentError
 from .grid import TimeGrid, integrate
@@ -179,12 +179,11 @@ def check_moment_condition(family: MarginalFamily, grid: TimeGrid,
 
     Each per-time integral int_0^1 |Q_t(u)|**p du runs on
     u in [delta, 1 - delta] with delta = 1e-12 through
-    ``tail_checked_integral``: a time diverges when the integrand grows
-    by more than 1.9 between the cuts 2 delta and delta at either end,
-    i.e. like s**(-kappa) with kappa > 0.926.  A divergent time reports
-    ``integral = inf`` and ``satisfied = False``.  A step quantile
-    (``quantile_steps``, e.g. ``Empirical``) has the exact finite moment
-    sum over its level segments, the sample mean of |x|**p.
+    ``adaptive_unit_integral``.  A time whose integrand overflows or grows
+    like s**(-kappa) with kappa > 0.926 at an end node of the rule's first
+    level diverges and reports ``integral = inf`` and ``satisfied = False``.
+    A step quantile (``quantile_steps``, e.g. ``Empirical``) has the exact
+    finite moment sum over its level segments, the sample mean of |x|**p.
     """
     if not np.isfinite(p) or p <= 0.0:
         raise InvalidArgumentError(f"p must be positive, got {p}")
@@ -193,7 +192,7 @@ def check_moment_condition(family: MarginalFamily, grid: TimeGrid,
         steps = family.quantile_steps(t)
         if steps is not None:
             return step_power_integral(*steps, p)
-        return tail_checked_integral(
+        return adaptive_unit_integral(
             lambda u, cu: np.abs(family.quantile_tail(t, u, cu)) ** p, _MOMENT_DELTA)
 
     per_t = per_time_integrals(grid.points, moment_at, family.time_invariant)

@@ -5,12 +5,13 @@ In one dimension W_p has the closed form
     W_p(F_A, F_B)**p = int_0^1 |Q_A(u) - Q_B(u)|**p du,
 
 evaluated here by graded midpoint quadrature on (1e-9, 1 - 1e-9) with node
-doubling.  A family whose quantile is a step function, such as
-``Empirical``, is integrated segment by segment, never across a jump:
-against another step quantile the integral is an exact finite sum over the
-merged levels on (0, 1); against a continuous quantile each level segment
-gets fixed Gauss-Legendre nodes, split where the gap changes sign, and the
-two end segments keep the graded rule.
+doubling; W_p reads ``inf`` when, at an end node of its first level, the gap
+overflows or grows like s**(-kappa) with kappa > 0.926.  A family whose
+quantile is a step function, such as ``Empirical``, is integrated segment by
+segment, never across a jump: against another step quantile the integral is
+an exact finite sum over the merged levels on (0, 1); against a continuous
+quantile each level segment gets fixed Gauss-Legendre nodes, split where the
+gap changes sign, and the two end segments keep the graded rule.
 
 For processes sharing one copula, the path-space distance factorizes into
 the time integral of the per-time distances, and the merge
@@ -108,7 +109,7 @@ def wasserstein1d_quantile(family_a: MarginalFamily, family_b: MarginalFamily,
     by segment: exactly over (0, 1) against another step quantile, and
     against a continuous one with 8 Gauss-Legendre nodes per level segment,
     segments where Q_A - Q_B changes sign split at the crossing, and the
-    graded rule on the two end segments.
+    graded rule on the two end segments.  A divergent end reads ``inf``.
     """
     p = check_int(p, "p", 1, MAX_P)
     if family_a is family_b:
@@ -136,7 +137,8 @@ def pathspace_wasserstein_same_copula(family_a: MarginalFamily,
     """Path-space W_p for processes sharing a copula.
 
     Computes per_t = W_p(F_A,t, F_B,t) on the grid and integrates the p-th
-    powers over time; the Monte Carlo fields stay unset.
+    powers over time; the Monte Carlo fields stay unset.  An infinite W_p at
+    any time makes ``integrated`` and all of ``per_t`` ``inf``.
     """
     p = check_int(p, "p", 1, MAX_P)
     if family_a is family_b:
@@ -144,6 +146,8 @@ def pathspace_wasserstein_same_copula(family_a: MarginalFamily,
     power_at = _quantile_gap(family_a, family_b, p)
     per_t = per_time_integrals(grid.points, lambda t: power_at(t) ** (1.0 / p),
                                family_a.time_invariant and family_b.time_invariant)
+    if per_t is None:
+        return TransportReport(p=p, integrated=float("inf"), per_t=np.full(grid.m, np.inf))
     integrated = integrate(grid, per_t ** p) ** (1.0 / p)
     return TransportReport(p=p, integrated=float(integrated), per_t=per_t)
 

@@ -312,6 +312,23 @@ def test_wasserstein_mean_shift_with_mc_check(tmp_path):
     assert report["gap"] is not None
 
 
+def test_wasserstein_divergent_pair_writes_inf(tmp_path):
+    # Pareto(1, 0.9) has no mean, so W_1 against Pareto(1, 3) is infinite
+    cfg = {
+        "grid": {"a": 0.0, "b": 1.0, "m": 5},
+        "p": 1,
+        "family_a": {"kind": "pareto", "x_min": 1.0, "alpha": 0.9},
+        "family_b": {"kind": "pareto", "x_min": 1.0, "alpha": 3.0},
+    }
+    rc, outdir = _run(tmp_path, "wasserstein", cfg)
+    assert rc == 0
+    assert _read_json(outdir / "report.json")["integrated"] == "inf"
+    with open(outdir / "per_t.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 6
+    assert all(row[1] == "inf" for row in rows[1:])
+
+
 def test_klexpand_outputs(tmp_path):
     cfg = {
         "grid": {"a": 0.5, "b": 1.5, "m": 9},
@@ -343,6 +360,22 @@ def test_check_moment_divergent_pareto(tmp_path):
         "p": 2,
     }
     rc, outdir = _run(tmp_path, "check", cfg)
+    assert rc == 0
+    report = _read_json(outdir / "report.json")
+    assert report["satisfied"] is False
+    assert report["integral"] == "inf"
+
+
+def test_check_moment_overflowing_pareto_exits_0(tmp_path):
+    # the quantile overflows at the end nodes, which reads divergent
+    cfg = {
+        "mode": "moment",
+        "grid": {"a": 1.0, "b": 2.0, "m": 5},
+        "family": {"kind": "pareto", "x_min": 1.0, "alpha": 0.03},
+        "p": 1,
+    }
+    with np.errstate(over="ignore"):
+        rc, outdir = _run(tmp_path, "check", cfg)
     assert rc == 0
     report = _read_json(outdir / "report.json")
     assert report["satisfied"] is False

@@ -3,8 +3,11 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy.special import expit
 
+from copulaproc import (LognormalMixing, NumericFailureError, ScaleMixtureGaussian,
+                        check_moment_condition, make_uniform_grid)
 from copulaproc import _quadrature
 from copulaproc._quadrature import (adaptive_unit_integral, graded_midpoint_nodes,
                                     per_time_integrals, step_gap_integral)
@@ -118,3 +121,53 @@ def test_a_new_delta_drops_the_old_ladder():
     gc.collect()
     assert kept() is None
     assert set(_quadrature._ladder(_ROBUST_DELTA)) == {4096}
+
+
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_an_end_growing_past_the_exponent_is_divergent(end):
+    # h ~ s**(-kappa) at one end: kappa = 0.95 lies past log2(1.9) ~ 0.926,
+    # kappa = 0.9 below it and keeps its finite value
+    def power(kappa):
+        return (lambda u, cu: u ** -kappa) if end == "lower" else (lambda u, cu: cu ** -kappa)
+
+    assert adaptive_unit_integral(power(0.95), _MOMENT_DELTA) == np.inf
+    finite = adaptive_unit_integral(power(0.9), _MOMENT_DELTA)
+    exact = 10.0 * ((1.0 - _MOMENT_DELTA) ** 0.1 - _MOMENT_DELTA ** 0.1)
+    assert_allclose(finite, exact, rtol=1e-5)
+
+
+def test_bounded_and_vanishing_ends_are_never_divergent():
+    u, cu, _ = graded_midpoint_nodes(_MOMENT_DELTA, 4096)
+    for vals in (np.ones_like(u), 0.0 * u, np.minimum(u, 0.5), cu * u):
+        assert not _quadrature._divergent_end(u, cu, vals)
+    assert adaptive_unit_integral(lambda u, cu: 0.0 * u, _MOMENT_DELTA) == 0.0
+    assert_allclose(adaptive_unit_integral(lambda u, cu: np.ones_like(u), _MOMENT_DELTA),
+                    1.0 - 2.0 * _MOMENT_DELTA, rtol=1e-12)
+
+
+def test_an_overflowing_end_is_divergent_and_nan_still_raises():
+    # +inf at the end node and at s_k alike, where the ratio test alone
+    # (inf > 1.9 * inf) is false
+    def overflowing(u, cu):
+        return np.where(cu < 1e-6, np.inf, 1.0)
+
+    assert adaptive_unit_integral(overflowing, _MOMENT_DELTA) == np.inf
+    with pytest.raises(NumericFailureError):
+        adaptive_unit_integral(lambda u, cu: np.where(cu < 1e-6, np.nan, 1.0), _MOMENT_DELTA)
+
+
+def test_tail_verdict_calls_the_quantile_only_on_shared_nodes(monkeypatch):
+    # the verdict reads the first level's end nodes, so no integrand is
+    # called on a separate probe array that would miss the quantile memo
+    sizes = []
+    unit = ScaleMixtureGaussian._unit_quantile
+
+    def spy(self, u, cu):
+        sizes.append(np.size(u))
+        return unit(self, u, cu)
+
+    monkeypatch.setattr(ScaleMixtureGaussian, "_unit_quantile", spy)
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), lambda t: 1.0 + t)
+    rep = check_moment_condition(fam, make_uniform_grid(0.5, 1.5, 9), 2.0)
+    assert rep.integral == 6.728742847346352
+    assert sizes == [4096, 8192]

@@ -14,7 +14,7 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         check_moment_condition, empirical_family_from_ensemble,
                         extract_copula, make_uniform_grid, merge,
                         sample_comonotone, sample_fbm_copula)
-from copulaproc import _parallel, _quadrature, rng
+from copulaproc import _parallel, rng, sklar
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
 
@@ -440,15 +440,26 @@ def test_moment_condition_divergent():
     assert rep.integral == np.inf
 
 
+@pytest.mark.parametrize("alpha, p", [(0.03, 1.0), (0.05, 2.0)])
+def test_moment_condition_overflowing_quantile_is_divergent(alpha, p):
+    # the quantile overflows to +inf at the upper end nodes; that end is
+    # divergent, where inf > 1.9 * inf used to let the value reach the
+    # non-finite check and raise NumericFailureError
+    with np.errstate(over="ignore"):
+        rep = check_moment_condition(Pareto(1.0, alpha), GRID, p)
+    assert not rep.satisfied
+    assert rep.integral == np.inf
+
+
 def test_moment_condition_integrates_once_per_time(monkeypatch):
     calls = []
-    integral = _quadrature.adaptive_unit_integral
+    integral = sklar.adaptive_unit_integral
 
     def counted(f, delta):
         calls.append(delta)
         return integral(f, delta)
 
-    monkeypatch.setattr(_quadrature, "adaptive_unit_integral", counted)
+    monkeypatch.setattr(sklar, "adaptive_unit_integral", counted)
     rep = check_moment_condition(Pareto(1.0, lambda t: 3.0 + t), GRID, 1.0)
     assert rep.satisfied
     assert len(calls) == GRID.m

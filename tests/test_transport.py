@@ -148,6 +148,38 @@ def test_step_quantile_integrals_stay_below_the_node_cap(monkeypatch):
     assert seen and max(seen) < 2**18
 
 
+@pytest.mark.parametrize("alpha_a, p", [(0.9, 1), (1.5, 2)])
+def test_infinite_moment_pair_reads_inf(alpha_a, p):
+    # |Q_A - Q_B|**p ~ (1 - u)**(-p / alpha_a) with p / alpha_a > 1 at the
+    # upper end: W_1 used to read 79.50 and W_2 54.39
+    heavy, light = Pareto(1.0, alpha_a), Pareto(1.0, 3.0)
+    assert wasserstein1d_quantile(heavy, light, t=1.0, p=p) == np.inf
+    assert wasserstein1d_quantile(light, heavy, t=1.0, p=p) == np.inf
+    rep = pathspace_wasserstein_same_copula(heavy, light, GRID, p)
+    assert rep.integrated == np.inf
+    assert np.array_equal(rep.per_t, np.full(GRID.m, np.inf))
+
+
+@pytest.mark.parametrize("n_samples", [7, 1], ids=["end_segments", "one_value"])
+def test_step_quantile_against_infinite_mean_pareto_reads_inf(n_samples):
+    # 7 samples reach the Pareto tail through the end segments of
+    # step_gap_integral (they used to read 79.26), one sample through its
+    # one-value branch
+    grid = make_uniform_grid(0.0, 1.0, 3)
+    samples = np.random.default_rng(3).lognormal(0.3, 0.4, (grid.m, n_samples))
+    emp, heavy = Empirical(grid, samples), Pareto(1.0, 0.9)
+    assert wasserstein1d_quantile(emp, heavy, t=0.5, p=1) == np.inf
+    rep = pathspace_wasserstein_same_copula(heavy, emp, grid, 1)
+    assert rep.integrated == np.inf
+    assert np.array_equal(rep.per_t, np.full(grid.m, np.inf))
+
+
+def test_finite_pareto_pair_keeps_its_value_bitwise():
+    # exact 1/12; the tail verdict leaves every finite value as it was
+    assert wasserstein1d_quantile(Pareto(1.0, 4.0), Pareto(1.0, 5.0), 1.0, 1) \
+        == 0.08333317509916845
+
+
 def test_empirical_estimator_matches_quantile_form():
     rng = np.random.default_rng(3)
     n = 100_000
