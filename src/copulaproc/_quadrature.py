@@ -30,7 +30,7 @@ from scipy.special import expit, roots_legendre
 
 from .errors import InvalidArgumentError, NumericFailureError
 
-#: integrand signature: f(u, one_minus_u) -> array of values
+#: integrand signature: f(u, one_minus_u) -> array of values, or (values, tails)
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _START_NODES = 4096
@@ -83,19 +83,25 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
 
     Starts at ``_START_NODES`` = 4096 midpoints and doubles until successive
     values agree to ``_REL_TOL`` = 1e-6 relative or the node cap is reached.
-    An end is divergent, and the value +inf, when the first level finds h
-    = +inf at the end node s_0 or h(s_0) > (s_k/s_0)**0.926 h(s_k) at the
-    first node s_k at or past 2 s_0 (s = u below, 1 - u above), as for
-    h ~ s**(-kappa), kappa > 0.926; a bounded or vanishing end never is.
+    An end of the first level (s = u below, 1 - u above) is divergent, and
+    the value +inf, when h = +inf at its end node s_0 or h(s_0) exceeds
+    (s_k/s_0)**0.926 times every h from the first node s_k >= 2 s_0 to the
+    middle, as for h ~ s**(-kappa), kappa > 0.926; a bounded, vanishing or
+    zero-crossing end is not.  h is f's values; when f returns (values,
+    tails), one tail, read only then, must diverge at that end too: a gap
+    |Q_A - Q_B|**p diverges only where |Q_A|**p or |Q_B|**p does (Minkowski).
     """
     n = _START_NODES
     previous = None
     while True:
         u, cu, w = graded_midpoint_nodes(delta, n)
-        vals = np.asarray(f(u, cu), dtype=float)
+        vals = f(u, cu)
+        vals, tails = vals if isinstance(vals, tuple) else (vals, None)
+        vals = np.asarray(vals, dtype=float)
         if vals.shape != u.shape:
             raise InvalidArgumentError("integrand returned a wrong shape")
-        if n == _START_NODES and _divergent_end(u, cu, vals):
+        if n == _START_NODES and (ends := _divergent_ends(u, cu, vals)).any() and any(
+                (ends & _divergent_ends(u, cu, h)).any() for h in tails or [vals]):
             return float("inf")
         if not np.isfinite(vals).all():
             raise NumericFailureError("integrand produced non-finite values")
@@ -108,11 +114,22 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
         n *= 2
 
 
-def _divergent_end(u, cu, vals) -> bool:
-    """The end-node verdict of ``adaptive_unit_integral`` on h = ``vals``."""
-    k = int(np.searchsorted(u[:u.size // 2], 2.0 * u[0]))
-    h0, ratio = vals[[0, -1]], np.array([u[k] / u[0], cu[-1 - k] / cu[-1]])
-    return bool(np.any((h0 == np.inf) | (h0 > ratio ** _TAIL_EXPONENT * vals[[k, -1 - k]])))
+def _divergent_ends(u, cu, h) -> np.ndarray:
+    """(lower, upper) end-node verdicts of ``adaptive_unit_integral`` on ``h``."""
+    half = u.size // 2
+    k = int(np.searchsorted(u[:half], 2.0 * u[0]))
+    h0, ratio = h[[0, -1]], np.array([u[k] / u[0], cu[-1 - k] / cu[-1]]) ** _TAIL_EXPONENT
+    return (h0 == np.inf) | (h0 > ratio * [h[k:half].max(), h[half:-k].max()])
+
+
+def abs_power_gap(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """|a - b|**p in one fresh buffer: the difference is taken into it and
+    the absolute value and the power are applied in place.  The ufuncs are
+    those of ``np.abs(a - b) ** p``, so the values are equal bit for bit."""
+    gap = np.subtract(a, b)
+    np.abs(gap, out=gap)
+    gap **= p
+    return gap
 
 
 def per_time_integrals(points, value_at, invariant: bool):
@@ -213,18 +230,18 @@ def step_gap_integral(levels, values, quantile, cdf, p: float, delta: float) -> 
     on which S - Q changes sign is split at u* = F(S) into two halves of 8
     nodes each, so the kink of |S - Q| lies on a boundary.  The two end
     segments, where Q may be unbounded, go through
-    ``adaptive_unit_integral``.  Q is called on shared immutable arrays
-    except at the split halves.
+    ``adaptive_unit_integral`` with |Q|**p as tails.  Q is called on shared
+    immutable arrays except at the split halves.
     """
     if values.size == 1:
-        v = values[0]
-        return adaptive_unit_integral(lambda u, cu: np.abs(v - quantile(u, cu)) ** p, delta)
+        def one_value(u, cu):
+            q = quantile(u, cu)
+            return abs_power_gap(values[0], q, p), [np.abs(q) ** p]
+        return adaptive_unit_integral(one_value, delta)
     nodes = _nodes_for(levels.tobytes(), delta)
     q = quantile(nodes.u, nodes.cu)
     inner = values[1:-1]
-    gaps = inner[:, None] - q[:nodes.interior].reshape(-1, _SEGMENT_NODES)
-    np.abs(gaps, out=gaps)
-    gaps **= p
+    gaps = abs_power_gap(inner[:, None], q[:nodes.interior].reshape(-1, _SEGMENT_NODES), p)
     # Q rises across a segment and S stays level, so S - Q can only cross
     # zero downwards
     at_levels = q[nodes.interior:]
@@ -238,15 +255,15 @@ def step_gap_integral(levels, values, quantile, cdf, p: float, delta: float) -> 
         halves_cu = np.concatenate([(1.0 - star) + (star - a) * _GAUSS_CU,
                                     (1.0 - b) + (b - star) * _GAUSS_CU])
         halves_w = np.concatenate([star - a, b - star]) * _GAUSS_W
-        split = np.abs(np.concatenate([x, x]) - quantile(halves_u, halves_cu)) ** p
+        split = abs_power_gap(np.concatenate([x, x]), quantile(halves_u, halves_cu), p)
         total += float(np.sum(halves_w * split))
 
     ends = values[[0, -1], None]
 
     def end_segments(s, cs):
         u, cu = nodes.end_nodes(s)
-        gap = np.abs(ends - quantile(u, cu).reshape(2, -1))
-        gap **= p
-        return nodes.c_lo * gap[0] + nodes.c_hi * gap[1]
+        q = quantile(u, cu).reshape(2, -1)
+        gap = abs_power_gap(ends, q, p)
+        return nodes.c_lo * gap[0] + nodes.c_hi * gap[1], (np.abs(row) ** p for row in q)
 
     return total + adaptive_unit_integral(end_segments, nodes.delta_s)

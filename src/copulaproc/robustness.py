@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from ._quadrature import adaptive_unit_integral, per_time_integrals
+from ._quadrature import abs_power_gap, adaptive_unit_integral, per_time_integrals
 from .copulas import elliptical_pretransform
 from .errors import (AssumptionViolatedError, InvalidArgumentError,
                      NumericFailureError, check_int)
@@ -41,7 +41,7 @@ from .kl import kl_from_ensemble, tail_energy, truncate
 from .marginals import (GaussianScale, LognormalMixing, MarginalFamily,
                         Pareto, empirical_family_from_ensemble)
 from .sklar import ProcessEnsemble, extract_copula, merge
-from .transport import (MAX_P, abs_power_gap, check_coupled, mc_coupling_cost,
+from .transport import (MAX_P, check_coupled, mc_coupling_cost,
                         pathspace_wasserstein_same_copula)
 
 #: endpoint cut for robustness quadratures; the complement form keeps
@@ -258,11 +258,9 @@ def constant_K(params: RobustnessParams, family_y: MarginalFamily,
             "minorant tail integral diverges; the bound constant is undefined")
     exponent = params.p + params.epsilon
 
-    def integrand_at(t):
-        return lambda u, cu: np.abs(family_y.quantile_tail(t, u, cu)) ** exponent
-
     per_t = per_time_integrals(
-        grid.points, lambda t: adaptive_unit_integral(integrand_at(t), _ROBUST_DELTA),
+        grid.points, lambda t: adaptive_unit_integral(
+            lambda u, cu: np.abs(family_y.quantile_tail(t, u, cu)) ** exponent, _ROBUST_DELTA),
         family_y.time_invariant)
     if per_t is None:
         raise AssumptionViolatedError(
@@ -415,10 +413,7 @@ def copula_distance_bound(tilde_x: ProcessEnsemble, tilde_y: ProcessEnsemble,
     grid = tilde_x.grid
     analytic = family_ty.density_sup_bound(grid)
     lattice = _density_lattice_sup(family_ty, grid)
-    if analytic is None:
-        f_sup = lattice
-    else:
-        f_sup = max(float(analytic), lattice)
+    f_sup = lattice if analytic is None else max(float(analytic), lattice)
     if not np.isfinite(f_sup) or f_sup <= 0.0:
         raise InvalidArgumentError("density bound is not finite and positive")
 
@@ -430,7 +425,8 @@ def copula_distance_bound(tilde_x: ProcessEnsemble, tilde_y: ProcessEnsemble,
 
     w_report = pathspace_wasserstein_same_copula(family_tx, family_ty, grid, q)
     w_term = w_report.integrated
-
+    if w_term == np.inf:
+        raise AssumptionViolatedError(f"W_{q} between the marginals is infinite")
     bound_two = f_sup * (dxy + w_term)
     bound_single = 2.0 * f_sup * dxy
 

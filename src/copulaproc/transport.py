@@ -5,13 +5,13 @@ In one dimension W_p has the closed form
     W_p(F_A, F_B)**p = int_0^1 |Q_A(u) - Q_B(u)|**p du,
 
 evaluated here by graded midpoint quadrature on (1e-9, 1 - 1e-9) with node
-doubling; W_p reads ``inf`` when, at an end node of its first level, the gap
-overflows or grows like s**(-kappa) with kappa > 0.926.  A family whose
-quantile is a step function, such as ``Empirical``, is integrated segment by
-segment, never across a jump: against another step quantile the integral is
-an exact finite sum over the merged levels on (0, 1); against a continuous
-quantile each level segment gets fixed Gauss-Legendre nodes, split where the
-gap changes sign, and the two end segments keep the graded rule.
+doubling; W_p reads ``inf`` when |Q_A|**p or |Q_B|**p overflows or grows
+like s**(-kappa), kappa > 0.926, at an end node of the first level.  A step
+quantile, such as ``Empirical``'s, is integrated segment by segment, never
+across a jump: against another step quantile the integral is an exact
+finite sum over the merged levels on (0, 1); against a continuous quantile
+each level segment gets fixed Gauss-Legendre nodes, split where the gap
+changes sign, and the two end segments keep the graded rule.
 
 For processes sharing one copula, the path-space distance factorizes into
 the time integral of the per-time distances, and the merge
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import (adaptive_unit_integral, merge_steps, per_time_integrals,
-                          step_gap_integral, step_power_integral)
+from ._quadrature import (abs_power_gap, adaptive_unit_integral, merge_steps,
+                          per_time_integrals, step_gap_integral, step_power_integral)
 from .copulas import CopulaEnsemble
 from .errors import InvalidArgumentError, NumericFailureError, check_int
 from .grid import TimeGrid, integrate
@@ -86,10 +86,8 @@ def _quantile_gap(family_a: MarginalFamily, family_b: MarginalFamily, p: int):
         steps_a, steps_b = family_a.quantile_steps(t), family_b.quantile_steps(t)
         if steps_a is None and steps_b is None:
             def integrand(u, cu):
-                diff = family_a.quantile_tail(t, u, cu) - family_b.quantile_tail(t, u, cu)
-                np.abs(diff, out=diff)
-                diff **= p
-                return diff
+                qa, qb = family_a.quantile_tail(t, u, cu), family_b.quantile_tail(t, u, cu)
+                return abs_power_gap(qa, qb, p), (np.abs(q) ** p for q in (qa, qb))
             return adaptive_unit_integral(integrand, _TRANSPORT_DELTA)
         if steps_a is not None and steps_b is not None:
             return step_power_integral(*merge_steps(*steps_a, *steps_b), p)
@@ -149,17 +147,7 @@ def pathspace_wasserstein_same_copula(family_a: MarginalFamily,
     if per_t is None:
         return TransportReport(p=p, integrated=float("inf"), per_t=np.full(grid.m, np.inf))
     integrated = integrate(grid, per_t ** p) ** (1.0 / p)
-    return TransportReport(p=p, integrated=float(integrated), per_t=per_t)
-
-
-def abs_power_gap(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
-    """|a - b|**p in one fresh buffer: the difference is taken into it and
-    the absolute value and the power are applied in place.  The ufuncs are
-    those of ``np.abs(a - b) ** p``, so the values are equal bit for bit."""
-    gap = np.subtract(a, b)
-    np.abs(gap, out=gap)
-    gap **= p
-    return gap
+    return TransportReport(p=p, integrated=integrated, per_t=per_t)
 
 
 def mc_coupling_cost(ens_x: ProcessEnsemble, ens_y: ProcessEnsemble, p: int):

@@ -139,10 +139,34 @@ def test_an_end_growing_past_the_exponent_is_divergent(end):
 def test_bounded_and_vanishing_ends_are_never_divergent():
     u, cu, _ = graded_midpoint_nodes(_MOMENT_DELTA, 4096)
     for vals in (np.ones_like(u), 0.0 * u, np.minimum(u, 0.5), cu * u):
-        assert not _quadrature._divergent_end(u, cu, vals)
+        assert not _quadrature._divergent_ends(u, cu, vals).any()
     assert adaptive_unit_integral(lambda u, cu: 0.0 * u, _MOMENT_DELTA) == 0.0
     assert_allclose(adaptive_unit_integral(lambda u, cu: np.ones_like(u), _MOMENT_DELTA),
                     1.0 - 2.0 * _MOMENT_DELTA, rtol=1e-12)
+
+
+def test_a_zero_crossing_next_to_the_end_node_is_not_divergent():
+    # |log(u / (3.5 u_0))| falls by more than 1.9 from s_0 to s_k, but the
+    # bulk beyond s_k rises far above it
+    u, cu, _ = graded_midpoint_nodes(_MOMENT_DELTA, 4096)
+    assert not _quadrature._divergent_ends(u, cu, np.abs(np.log(u / (3.5 * u[0])))).any()
+
+
+def test_a_divergent_end_needs_a_tail_diverging_at_the_same_end():
+    # (values, tails): the values' verdict at an end stands only where one
+    # of the tails reads divergent at that end too
+    def rule(*tails):
+        return adaptive_unit_integral(
+            lambda u, cu: (u ** -0.95, [tail(u, cu) for tail in tails]), _MOMENT_DELTA)
+
+    def ones(u, cu):
+        return np.ones_like(u)
+
+    assert adaptive_unit_integral(lambda u, cu: u ** -0.95, _MOMENT_DELTA) == np.inf
+    assert rule(ones, lambda u, cu: u ** -0.95) == np.inf
+    exact = 20.0 * ((1.0 - _MOMENT_DELTA) ** 0.05 - _MOMENT_DELTA ** 0.05)
+    for finite in (rule(ones), rule(lambda u, cu: cu ** -0.95)):
+        assert_allclose(finite, exact, rtol=1e-5)
 
 
 def test_an_overflowing_end_is_divergent_and_nan_still_raises():

@@ -267,6 +267,15 @@ def test_copula_bound_needs_density():
         copula_distance_bound(ens, ens, fam, emp, q=2)
 
 
+def test_copula_bound_names_an_infinite_transport_term():
+    # Pareto(1, 1.5) has no second moment, so W_2 is infinite; the check
+    # against the coupled moment used to blame uncoupled ensembles
+    cop = sample_fbm_copula(GRID, 0.5, 200, seed=2)
+    fam_x, fam_y = Pareto(1.0, 1.5), GaussianScale(1.0)
+    with pytest.raises(AssumptionViolatedError, match="W_2 between the marginals is infinite"):
+        copula_distance_bound(merge(cop, fam_x), merge(cop, fam_y), fam_x, fam_y, q=2)
+
+
 def test_pareto_constant_bound_closed_form():
     grid = make_uniform_grid(1.0, 2.0, 33)
     family = Pareto(1.0, 4.0)

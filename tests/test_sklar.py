@@ -451,6 +451,15 @@ def test_moment_condition_overflowing_quantile_is_divergent(alpha, p):
     assert rep.integral == np.inf
 
 
+def test_moment_condition_quantile_crossing_zero_near_the_cut_is_finite():
+    # Q = 6.9 + z crosses zero between the lower end nodes, so the end node
+    # alone grows by more than 1.9 against its neighbour; the bulk, where
+    # |Q| is larger, clears it (this used to read inf)
+    rep = check_moment_condition(GaussianScale(1.0, mean=6.9), GRID, 1.0)
+    assert rep.satisfied
+    assert rep.integral == 6.899999999986384
+
+
 def test_moment_condition_integrates_once_per_time(monkeypatch):
     calls = []
     integral = sklar.adaptive_unit_integral

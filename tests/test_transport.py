@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from copulaproc import (Empirical, ExponentialScale, GaussianScale,
-                        InvalidArgumentError, Pareto, Uniform, attach_mc_check,
+                        InvalidArgumentError, LognormalMixing, Pareto,
+                        ScaleMixtureGaussian, Uniform, attach_mc_check,
                         basis_path_consistency_check, make_uniform_grid,
                         mc_coupling_cost, merge, optimal_coupling,
                         pathspace_wasserstein_same_copula, sample_comonotone,
@@ -178,6 +179,29 @@ def test_finite_pareto_pair_keeps_its_value_bitwise():
     # exact 1/12; the tail verdict leaves every finite value as it was
     assert wasserstein1d_quantile(Pareto(1.0, 4.0), Pareto(1.0, 5.0), 1.0, 1) \
         == 0.08333317509916845
+
+
+@pytest.mark.parametrize("make_a, make_b, p, value", [
+    # the quantiles cross near the node s_k ~ 2e-9 from the upper end
+    (lambda: GaussianScale(1.0, mean=5.8825), lambda: GaussianScale(2.0), 1,
+     5.882499988339369),
+    # |Q_A - Q_B|**p grows faster at s ~ 1e-9 than at its limit p / 6
+    (lambda: GaussianScale(2.0, mean=0.3), lambda: Pareto(1.0, 6.0), 4,
+     2.6896153281529993),
+    (lambda: ScaleMixtureGaussian(LognormalMixing(0.0, 0.5)), lambda: Pareto(1.0, 6.0), 2,
+     1.6147416008477513),
+], ids=["gaussians_crossing", "gaussian_pareto6", "mixture_pareto6"])
+def test_finite_moment_pair_is_judged_by_its_marginals(make_a, make_b, p, value):
+    # comparing the gap's end node with its neighbour s_k alone read these
+    # as divergent: the crossing is cleared by the larger gap further in,
+    # the overshoots by |Q_A|**p and |Q_B|**p; the values stay bit for bit
+    assert wasserstein1d_quantile(make_a(), make_b(), 1.0, p) == value
+
+
+def test_infinite_moment_law_against_an_equal_copy_reads_zero():
+    # the gap vanishes, so its end test never fires, whatever the marginals'
+    heavy = Pareto(1.0, 0.9)
+    assert wasserstein1d_quantile(heavy, Pareto(1.0, 0.9), 1.0, 1) == 0.0
 
 
 def test_empirical_estimator_matches_quantile_form():
