@@ -90,6 +90,9 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
     zero-crossing end is not.  h is f's values; when f returns (values,
     tails), one tail, read only then, must diverge at that end too: a gap
     |Q_A - Q_B|**p diverges only where |Q_A|**p or |Q_B|**p does (Minkowski).
+    An end where such a gap is NaN, as inf - inf where both quantiles
+    overflow, is divergent when a tail is +inf at its end node; any other
+    NaN raises.
     """
     n = _START_NODES
     previous = None
@@ -100,9 +103,13 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
         vals = np.asarray(vals, dtype=float)
         if vals.shape != u.shape:
             raise InvalidArgumentError("integrand returned a wrong shape")
-        if n == _START_NODES and (ends := _divergent_ends(u, cu, vals)).any() and any(
-                (ends & _divergent_ends(u, cu, h)).any() for h in tails or [vals]):
-            return float("inf")
+        if n == _START_NODES:
+            ends = _divergent_ends(u, cu, vals)
+            lost = np.isnan(vals[[0, -1]]) & (tails is not None)
+            if (ends | lost).any() and any(
+                    ((ends & _divergent_ends(u, cu, h)) | (lost & (h[[0, -1]] == np.inf))).any()
+                    for h in tails or [vals]):
+                return float("inf")
         if not np.isfinite(vals).all():
             raise NumericFailureError("integrand produced non-finite values")
         total = float(w @ vals)
@@ -122,11 +129,12 @@ def _divergent_ends(u, cu, h) -> np.ndarray:
     return (h0 == np.inf) | (h0 > ratio * [h[k:half].max(), h[half:-k].max()])
 
 
-def abs_power_gap(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
-    """|a - b|**p in one fresh buffer: the difference is taken into it and
-    the absolute value and the power are applied in place.  The ufuncs are
-    those of ``np.abs(a - b) ** p``, so the values are equal bit for bit."""
-    gap = np.subtract(a, b)
+def abs_power_gap(a: np.ndarray, b: np.ndarray, p, out=None) -> np.ndarray:
+    """|a - b|**p in one buffer, fresh or ``out`` (which may be ``a``): the
+    difference is taken into it and the absolute value and the power are
+    applied in place.  The ufuncs are those of ``np.abs(a - b) ** p``, so
+    the values are equal bit for bit."""
+    gap = np.subtract(a, b, out=out)
     np.abs(gap, out=gap)
     gap **= p
     return gap

@@ -336,9 +336,9 @@ def evaluate_bound(ens_x: ProcessEnsemble, family_x: MarginalFamily,
     can reuse them; both default to fresh evaluation.  The reference to
     ``ens_x`` is dropped once U^X is extracted, before U^Y, so a caller
     that passes its only reference (``evaluate_bound(merge(...), ...)``)
-    has X freed there.  The copula gap |U^X - U^Y|**q is built in one
-    buffer, reused in place, and the two extracted copulas are freed
-    before it is reduced.
+    has X freed there.  The copula gap |U^X - U^Y|**q is built in place
+    in U^X's buffer, which no one else references, and U^Y is freed
+    before the gap is reduced.
     """
     check_coupled(ens_x, ens_y)
     p = check_int(params.p, "params.p", 1, MAX_P)
@@ -353,11 +353,11 @@ def evaluate_bound(ens_x: ProcessEnsemble, family_x: MarginalFamily,
         marginal_term = pathspace_wasserstein_same_copula(
             family_x, family_y, grid, p).integrated
 
-    u_x = extract_copula(ens_x, family_x, _AUX_SEED_X).paths
+    gap = extract_copula(ens_x, family_x, _AUX_SEED_X).paths
     del ens_x
-    gap = abs_power_gap(u_x, extract_copula(ens_y, family_y, _AUX_SEED_Y).paths,
-                        params.q)
-    del u_x
+    gap.setflags(write=True)
+    abs_power_gap(gap, extract_copula(ens_y, family_y, _AUX_SEED_Y).paths,
+                  params.q, out=gap)
     dist_power = float(np.mean(gap @ grid.weights))
     copula_term = k_val * dist_power ** (r / params.q)
 
@@ -531,11 +531,11 @@ def _loglog_slope(xs, ys):
 def _truncated_copula(tilde_y: ProcessEnsemble, decomposition, n_keep: int,
                       aux_seed: int, aux: np.ndarray):
     """Copula of the n_keep-term KL truncation, through its empirical
-    marginals and the auxiliary uniforms ``aux`` of ``aux_seed``; the
-    truncated paths and their family die on return."""
+    marginals and the auxiliary uniforms ``aux`` of ``aux_seed``, written
+    over the truncated paths; they and their family die on return."""
     truncated = truncate(tilde_y, decomposition, n_keep)
     return extract_copula(truncated, empirical_family_from_ensemble(truncated),
-                          aux_seed, aux=aux)
+                          aux_seed, aux=aux, overwrite_process=True)
 
 
 def pareto_elliptical_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -550,8 +550,10 @@ def pareto_elliptical_experiment(config: ExperimentConfig) -> ExperimentReport:
     ``config.marginal_mode``.  The truncation levels share one matrix of
     auxiliary uniforms, drawn once from ``seed + 211`` and read-only.
     Each other n_paths x m intermediate is freed as soon as it has been
-    used, the rebuilt process inside ``evaluate_bound``, so at most six
-    are alive at once with the true marginals, V among them.
+    used, the rebuilt process inside ``evaluate_bound``, so at most five
+    are alive at once with the true marginals, V among them: each level's
+    copula is written over its truncated paths, and the copula gap in
+    ``evaluate_bound`` over the rebuilt process's copula.
     """
     grid = make_uniform_grid(config.a, config.b, int(config.m))
     pre_paths, mix_family = elliptical_pretransform(

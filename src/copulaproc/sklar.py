@@ -112,7 +112,8 @@ def merge(copula: CopulaEnsemble, family: MarginalFamily) -> ProcessEnsemble:
 
 
 def extract_copula(process: ProcessEnsemble, family: MarginalFamily,
-                   aux_seed: int, *, aux: np.ndarray | None = None) -> CopulaEnsemble:
+                   aux_seed: int, *, aux: np.ndarray | None = None,
+                   overwrite_process: bool = False) -> CopulaEnsemble:
     """Recover a copula ensemble via F_t or the distributional transform.
 
     Continuous families use U_t = F_t(X_t); families with atoms use
@@ -131,21 +132,34 @@ def extract_copula(process: ProcessEnsemble, family: MarginalFamily,
     values of a loop over the strided columns; the hooks and time
     callables may run on several threads at once and must be pure.  The
     result is clipped to [0, 1] in place.
+
+    With ``overwrite_process`` set, in the manner of SciPy's
+    ``overwrite_a``, the result is written over ``process.paths`` instead,
+    with the same values bit for bit for every family; the process then
+    holds the copula and must not be used again.  A caller whose process
+    dies on return saves one n_paths x m matrix this way.  Paths that do
+    not own their memory, such as a view of another array, are rejected.
     """
     _check_family_grid(family, process.grid)
     aux_seed = rng.check_seed(aux_seed)
-    points = process.grid.points
+    paths = process.paths
+    if overwrite_process and not paths.flags.owndata:
+        raise InvalidArgumentError(
+            "overwrite_process needs paths that own their memory, got a view")
+    out = None
     if family.is_continuous:
-        out = _columnwise(points, family.cdf, np.empty_like(process.paths),
-                          process.paths)
-    elif aux is None:
-        aux = rng.uniform_rows(aux_seed, process.n_paths, process.grid.m)
-        out = _columnwise(points, family.distributional_transform, aux,
-                          process.paths, aux)
+        fn, arrays = family.cdf, (paths,)
     else:
-        _check_aux(aux, aux_seed, process.paths.shape)
-        out = _columnwise(points, family.distributional_transform,
-                          np.empty_like(process.paths), process.paths, aux)
+        if aux is None:
+            aux = out = rng.uniform_rows(aux_seed, *paths.shape)
+        else:
+            _check_aux(aux, aux_seed, paths.shape)
+        fn, arrays = family.distributional_transform, (paths, aux)
+    if overwrite_process:
+        paths.setflags(write=True)
+        out = paths
+    out = _columnwise(process.grid.points, fn,
+                      np.empty_like(paths) if out is None else out, *arrays)
     np.clip(out, 0.0, 1.0, out=out)
     return CopulaEnsemble(process.grid, out, aux_seed,
                           f"extracted({family.kind})")

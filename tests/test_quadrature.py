@@ -180,6 +180,22 @@ def test_an_overflowing_end_is_divergent_and_nan_still_raises():
         adaptive_unit_integral(lambda u, cu: np.where(cu < 1e-6, np.nan, 1.0), _MOMENT_DELTA)
 
 
+def test_a_nan_gap_end_is_divergent_only_where_a_tail_is_inf():
+    # inf - inf where both quantiles overflow: the NaN end reads divergent
+    # when a tail is +inf at its end node, and raises otherwise
+    def gap(tail_at_end):
+        def f(u, cu):
+            end = cu < 1e-6
+            return (np.where(end, np.nan, 1.0),
+                    [np.ones_like(u), np.where(end, tail_at_end, 1.0)])
+        return adaptive_unit_integral(f, _MOMENT_DELTA)
+
+    assert gap(np.inf) == np.inf
+    for tail_at_end in (1e300, np.nan):
+        with pytest.raises(NumericFailureError):
+            gap(tail_at_end)
+
+
 def test_tail_verdict_calls_the_quantile_only_on_shared_nodes(monkeypatch):
     # the verdict reads the first level's end nodes, so no integrand is
     # called on a separate probe array that would miss the quantile memo

@@ -403,22 +403,53 @@ def test_experiment_draws_the_truncation_auxiliary_uniforms_once(monkeypatch):
     assert seeds.count(5 + 211) == 1
 
 
-def test_experiment_holds_at_most_eight_ensembles():
-    # every n_paths x m intermediate dies once it has been used, so six are
-    # alive at the peak; the rest of the bound covers smaller temporaries
-    n, m = 4_000, 33
+def _experiment_peak(n, m, marginal_mode):
+    """Traced peak of one experiment run, in n x m float64 matrices."""
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        pareto_elliptical_experiment(ExperimentConfig(n_paths=n, m=m, seed=3))
+        pareto_elliptical_experiment(ExperimentConfig(
+            n_paths=n, m=m, seed=3, marginal_mode=marginal_mode))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak <= 8 * n * m * 8, peak / (n * m * 8)
+    return peak / (n * m * 8)
+
+
+def test_experiment_holds_at_most_six_ensembles():
+    # every n_paths x m intermediate dies once it has been used and each
+    # level's copula and copula gap are written over buffers that die with
+    # them, so five are alive at the peak; the rest of the bound covers
+    # the column groups and smaller temporaries
+    peak = _experiment_peak(4_000, 33, "true")
+    assert peak <= 6, peak
+
+
+def test_experiment_in_empirical_mode_holds_at_most_nine_ensembles():
+    # the empirical family of Y adds one matrix, and the step-quantile
+    # nodes cached by its marginal term about one more
+    peak = _experiment_peak(4_000, 33, "empirical")
+    assert peak <= 9, peak
+
+
+@pytest.mark.parametrize("mode", ["true", "empirical"])
+def test_experiment_report_equals_one_extracted_without_overwriting(monkeypatch, mode):
+    # writing each level's copula over its truncated paths moves no value
+    config = ExperimentConfig(n_paths=300, m=17, seed=5, marginal_mode=mode)
+    want = pareto_elliptical_experiment(config)
+    overwrites = []
+
+    def keep_process(*args, overwrite_process=False, **kwargs):
+        overwrites.append(overwrite_process)
+        return extract_copula(*args, **kwargs)
+
+    monkeypatch.setattr(robustness, "extract_copula", keep_process)
+    assert pareto_elliptical_experiment(config) == want
+    assert overwrites.count(True) == len(config.n_keep)
 
 
 def test_minorant_param_validation():

@@ -257,6 +257,33 @@ def test_shared_aux_of_another_shape_or_seed_is_rejected():
                           extract_copula(ens, family, 7).paths)
 
 
+@pytest.mark.parametrize("rows", [50, 4100])
+def test_overwrite_process_matches_the_default_bitwise(rows):
+    # a continuous family, an atomic one drawing its uniforms and an atomic
+    # one reading a passed matrix; 4100 rows go to column groups on threads
+    ens = _tied_ensemble(rows, 9)
+    atomic = empirical_family_from_ensemble(ens)
+    aux, _ = _read_only_aux(7, ens)
+    for family, kwargs in ((GaussianScale(1.0), {}), (atomic, {}), (atomic, {"aux": aux})):
+        want = extract_copula(ens, family, 7, **kwargs)
+        process = _tied_ensemble(rows, 9)
+        got = extract_copula(process, family, 7, overwrite_process=True, **kwargs)
+        assert np.array_equal(got.paths, want.paths), family.kind
+        assert np.shares_memory(got.paths, process.paths)
+        assert got.seed == want.seed and got.model_tag == want.model_tag
+        assert not got.paths.flags.writeable
+
+
+def test_overwrite_process_rejects_paths_that_view_another_array():
+    grid = make_uniform_grid(1.0, 2.0, 9)
+    wide = np.random.default_rng(3).normal(size=(50, 10))
+    before = wide.copy()
+    ens = ProcessEnsemble(grid, wide[:, :9])
+    with pytest.raises(InvalidArgumentError, match="overwrite_process"):
+        extract_copula(ens, GaussianScale(1.0), 7, overwrite_process=True)
+    assert np.array_equal(wide, before) and not ens.paths.flags.writeable
+
+
 def _tie_pattern(pattern, grid, n, seed):
     u = sample_fbm_copula(grid, 0.5, n, seed=seed).paths.copy()
     if pattern == "distinct":

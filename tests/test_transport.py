@@ -161,6 +161,17 @@ def test_infinite_moment_pair_reads_inf(alpha_a, p):
     assert np.array_equal(rep.per_t, np.full(GRID.m, np.inf))
 
 
+def test_pair_overflowing_at_the_same_end_reads_inf():
+    # both quantiles overflow to +inf near u = 1, so the gap there is
+    # inf - inf = nan; it used to raise NumericFailureError
+    a, b = Pareto(1.0, 0.005), Pareto(1.0, 0.006)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert wasserstein1d_quantile(a, b, 1.0, 1) == np.inf
+        rep = pathspace_wasserstein_same_copula(a, b, GRID, 1)
+    assert rep.integrated == np.inf
+    assert np.array_equal(rep.per_t, np.full(GRID.m, np.inf))
+
+
 @pytest.mark.parametrize("n_samples", [7, 1], ids=["end_segments", "one_value"])
 def test_step_quantile_against_infinite_mean_pareto_reads_inf(n_samples):
     # 7 samples reach the Pareto tail through the end segments of
