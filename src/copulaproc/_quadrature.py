@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit, roots_legendre
 
-from .errors import InvalidArgumentError, NumericFailureError
+from .errors import InvalidArgumentError, NumericFailureError, check_float, check_int
 
 #: integrand signature: f(u, one_minus_u) -> array of values, or (values, tails)
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -62,10 +62,8 @@ def graded_midpoint_nodes(delta: float, n_nodes: int):
     weights summing to 1 - 2*delta up to rounding.  u and cu are shared
     between calls and immutable; w is a fresh array.
     """
-    if not 0.0 < delta < 0.5:
-        raise InvalidArgumentError(f"delta must lie in (0, 0.5), got {delta}")
-    if n_nodes < 2:
-        raise InvalidArgumentError("need at least two nodes")
+    check_float(delta, "delta", 0.0, 0.5, lo_open=True, hi_open=True)
+    check_int(n_nodes, "n_nodes", 2)
     # y-range solves (1 + tanh Y)/2 = 1 - delta
     y_max = 0.5 * np.log((1.0 - delta) / delta)
     h = 2.0 * y_max / n_nodes
@@ -133,8 +131,11 @@ def abs_power_gap(a: np.ndarray, b: np.ndarray, p, out=None) -> np.ndarray:
     """|a - b|**p in one buffer, fresh or ``out`` (which may be ``a``): the
     difference is taken into it and the absolute value and the power are
     applied in place.  The ufuncs are those of ``np.abs(a - b) ** p``, so
-    the values are equal bit for bit."""
-    gap = np.subtract(a, b, out=out)
+    the values are equal bit for bit.  Where both are +inf, as when two
+    quantiles overflow at an end node, the gap is NaN without a warning;
+    the quadrature rule judges that node."""
+    with np.errstate(invalid="ignore"):
+        gap = np.subtract(a, b, out=out)
     np.abs(gap, out=gap)
     gap **= p
     return gap

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import rng
-from .errors import InvalidArgumentError, NumericFailureError
+from .errors import InvalidArgumentError, NumericFailureError, check_float
 from .grid import TimeGrid
 from .marginals import LognormalMixing, ScaleMixtureGaussian
 
@@ -83,10 +83,7 @@ def cholesky_with_jitter(matrix: np.ndarray):
 
 
 def _check_hurst(hurst: float) -> float:
-    hurst = float(hurst)
-    if not 0.0 < hurst < 1.0:
-        raise InvalidArgumentError(f"hurst must lie in (0, 1), got {hurst}")
-    return hurst
+    return check_float(hurst, "hurst", 0.0, 1.0, lo_open=True, hi_open=True)
 
 
 def _check_gaussian_args(grid: TimeGrid, hurst: float, variant: str) -> float:
@@ -171,9 +168,7 @@ def sample_archimedean_clayton(grid: TimeGrid, theta: float, n_paths: int,
     is phi(x) = x**-theta - 1: the marginal CDF is the Laplace transform
     (1 + s)**(-1/theta) of M evaluated at phi(u), which returns u.
     """
-    theta = float(theta)
-    if not np.isfinite(theta) or theta <= 0.0:
-        raise InvalidArgumentError(f"theta must be positive, got {theta}")
+    theta = check_float(theta, "theta", 0.0, lo_open=True)
     m = grid.m
 
     def draw(gen):
@@ -216,17 +211,11 @@ class CopulaModel:
             raise InvalidArgumentError(
                 f"unknown copula variant {self.variant!r}; expected one of {tuple(_SAMPLERS)}")
         if self.variant in ("fbm", "elliptical"):
-            if self.hurst is None:
-                raise InvalidArgumentError(f"{self.variant} model requires hurst")
-            _check_hurst(self.hurst)
-        for name in ("theta", "t0"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise InvalidArgumentError(f"{name} must be finite, got {value}")
-        if self.variant == "clayton" and (self.theta is None or self.theta <= 0.0):
-            raise InvalidArgumentError("clayton model requires theta > 0")
-        if self.t0 is not None and self.t0 <= 0.0:
-            raise InvalidArgumentError("t0 must be positive when given")
+            _check_hurst(self.hurst)  # None included: both variants need it
+        if self.theta is not None or self.variant == "clayton":
+            check_float(self.theta, "theta", 0.0, lo_open=True)
+        if self.t0 is not None:
+            check_float(self.t0, "t0", 0.0, lo_open=True)
 
     def sample(self, grid: TimeGrid, n_paths: int, seed: int) -> CopulaEnsemble:
         if self.t0 is not None and grid.a < self.t0:

@@ -1,11 +1,14 @@
-"""Exception hierarchy shared by all modules, and the integer check
-every module validates its integer arguments with.
+"""Exception hierarchy shared by all modules, and the integer and float
+checks every module validates its number arguments with.
 
 Each class corresponds to one of the failure categories the command line
 interface maps to a distinct exit code.  Library code raises these instead
 of bare builtins so callers can tell a bad argument from a numerical
 breakdown without parsing messages.
 """
+
+import math
+import numbers
 
 import numpy as np
 
@@ -43,3 +46,28 @@ def check_int(value, name: str, lo: int, hi: int | None = None) -> int:
             return number
     span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
     raise InvalidArgumentError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def check_float(value, name: str, lo: float = -math.inf, hi: float = math.inf, *,
+                lo_open: bool = False, hi_open: bool = False) -> float:
+    """Return ``value`` as a ``float`` if it is a finite Python or numpy real,
+    not a bool, between ``lo`` and ``hi`` (a bound is excluded when its
+    ``*_open`` flag is set); raise ``InvalidArgumentError`` naming ``name``
+    otherwise."""
+    # floats, numpy's float64 among them, skip the slower ABC check
+    if isinstance(value, float) or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool)):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if (math.isfinite(number) and (lo < number if lo_open else lo <= number)
+                and (number < hi if hi_open else number <= hi)):
+            return number
+    if hi == math.inf:
+        span = "" if lo == -math.inf else f" {'>' if lo_open else '>='} {lo:g}"
+    elif lo == -math.inf:
+        span = f" {'<' if hi_open else '<='} {hi:g}"
+    else:
+        span = f" in {'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}"
+    raise InvalidArgumentError(f"{name} must be a finite number{span}, got {value!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericFailureError, check_int
+from .errors import InvalidArgumentError, NumericFailureError, check_float, check_int
 
 _WEIGHT_SUM_RTOL = 1e-12
 
@@ -50,8 +50,8 @@ class TimeGrid:
             raise InvalidArgumentError("points and weights must have equal length")
         if not (np.isfinite(points).all() and np.isfinite(weights).all()):
             raise InvalidArgumentError("grid points and weights must be finite")
-        if not (self.b > self.a):
-            raise InvalidArgumentError(f"need b > a, got a={self.a}, b={self.b}")
+        a = check_float(self.a, "a")
+        check_float(self.b, "b", a, lo_open=True)
         if np.any(np.diff(points) <= 0):
             raise InvalidArgumentError("grid points must be strictly increasing")
         if points[0] != self.a or points[-1] != self.b:
@@ -82,12 +82,12 @@ class TimeGrid:
 def make_uniform_grid(a: float, b: float, m: int) -> TimeGrid:
     """Uniform grid with m points on [a, b] and trapezoid weights."""
     m = check_int(m, "m", 2)
-    if not (np.isfinite(a) and np.isfinite(b) and b > a):
-        raise InvalidArgumentError(f"need finite b > a, got a={a!r}, b={b!r}")
-    points = np.linspace(float(a), float(b), m)
+    a = check_float(a, "a")
+    b = check_float(b, "b", a, lo_open=True)
+    points = np.linspace(a, b, m)
     # endpoints must be exact despite linspace rounding
-    points[0], points[-1] = float(a), float(b)
-    return TimeGrid(float(a), float(b), points, trapezoid_weights(points))
+    points[0], points[-1] = a, b
+    return TimeGrid(a, b, points, trapezoid_weights(points))
 
 
 def grid_from_points(points) -> TimeGrid:

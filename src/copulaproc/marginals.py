@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
 from ._parallel import share, threads_for
-from .errors import InvalidArgumentError, UnsupportedOperationError
+from .errors import InvalidArgumentError, UnsupportedOperationError, check_float, check_int
 from .grid import TimeGrid, grid_from_points
 from .serialize import write_matrix_csv
 
@@ -33,25 +33,24 @@ _TAIL_EPS = 1e-12
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
-def _as_time_fn(value, name: str, lower: float = -np.inf, strict: bool = False):
-    """Lift a constant to a function of t that validates what it returns.
+def _as_time_fn(value, name: str, **bounds):
+    """Lift a parameter to a function of t whose values pass
+    ``check_float(value, name, **bounds)``.
 
-    Each value must be finite and at least ``lower`` (above it when
-    ``strict``).  A non-finite constant is rejected at once; other bounds
-    are checked at evaluation, since parameters may be callables.
+    A constant is checked once, here, and returned as is at every t.  A
+    callable's value is checked at each evaluation; a value it refuses
+    raises with the time appended, and one it passes formats no message.
     """
     if not callable(value):
-        const = float(value)
-        if not np.isfinite(const):
-            raise InvalidArgumentError(f"{name} must be finite, got {value}")
-        value = lambda t: const
+        const = check_float(value, name, **bounds)
+        return lambda t: const
 
     def checked(t):
-        v = float(value(t))
-        if not (np.isfinite(v) and (v > lower if strict else v >= lower)):
-            raise InvalidArgumentError(
-                f"{name}({t}) = {v} must be finite and {'>' if strict else '>='} {lower:g}")
-        return v
+        v = value(t)
+        try:
+            return check_float(v, name, **bounds)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"{exc} at t={t}") from None
 
     return checked
 
@@ -240,14 +239,14 @@ class GaussianScale(MarginalFamily):
 
     def __init__(self, sigma=1.0, mean=0.0):
         super().__init__()
-        self.sigma = _as_time_fn(sigma, "sigma", 0.0)
+        self.sigma = _as_time_fn(sigma, "sigma", lo=0.0)
         self.mean = _as_time_fn(mean, "mean")
         self.time_invariant = not (callable(sigma) or callable(mean))
 
     @classmethod
     def power_law(cls, hurst: float, mean=0.0):
         """sigma_t = t**hurst preset."""
-        h = float(hurst)
+        h = check_float(hurst, "hurst")
         return cls(sigma=lambda t: t ** h, mean=mean)
 
     def _cdf(self, t, x):
@@ -304,12 +303,12 @@ class ExponentialScale(MarginalFamily):
 
     def __init__(self, scale=1.0):
         super().__init__()
-        self.scale = _as_time_fn(scale, "scale", 0.0)
+        self.scale = _as_time_fn(scale, "scale", lo=0.0)
         self.time_invariant = not callable(scale)
 
     @classmethod
     def power_law(cls, hurst: float):
-        h = float(hurst)
+        h = check_float(hurst, "hurst")
         return cls(scale=lambda t: t ** h)
 
     def _cdf(self, t, x):
@@ -356,10 +355,8 @@ class Pareto(MarginalFamily):
     is_continuous = True
 
     def __init__(self, x_min: float, alpha):
-        self.x_min = float(x_min)
-        if not np.isfinite(self.x_min) or self.x_min <= 0.0:
-            raise InvalidArgumentError(f"x_min must be positive, got {x_min}")
-        self.alpha = _as_time_fn(alpha, "alpha", 0.0, strict=True)
+        self.x_min = check_float(x_min, "x_min", 0.0, lo_open=True)
+        self.alpha = _as_time_fn(alpha, "alpha", lo=0.0, lo_open=True)
         self.time_invariant = not callable(alpha)
 
     def _cdf(self, t, x):
@@ -370,7 +367,9 @@ class Pareto(MarginalFamily):
     def _quantile(self, t, u, cu):
         a = self.alpha(t)
         q = np.maximum(cu, 1e-320)
-        with np.errstate(divide="ignore"):
+        # cu ** (-1/a) overflows to inf for a tiny tail index: the quantile
+        # there lies past the float range
+        with np.errstate(divide="ignore", over="ignore"):
             q **= -1.0 / a
         q *= self.x_min
         return q
@@ -398,9 +397,8 @@ class Uniform(MarginalFamily):
     time_invariant = True
 
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
-        self.lo, self.hi = float(lo), float(hi)
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.hi > self.lo):
-            raise InvalidArgumentError(f"need hi > lo, got lo={lo}, hi={hi}")
+        self.lo = check_float(lo, "lo")
+        self.hi = check_float(hi, "hi", self.lo, lo_open=True)
 
     def _cdf(self, t, x):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
@@ -431,9 +429,8 @@ class LognormalMixing:
     sigma: float = 0.5
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma)) or self.sigma < 0.0:
-            raise InvalidArgumentError(
-                f"need finite mu and sigma >= 0, got mu={self.mu}, sigma={self.sigma}")
+        check_float(self.mu, "mu")
+        check_float(self.sigma, "sigma", 0.0)
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -471,14 +468,12 @@ class ScaleMixtureGaussian(MarginalFamily):
 
     def __init__(self, mixing: LognormalMixing, scale=1.0, n_quad: int = 64):
         super().__init__()
-        if n_quad < 2:
-            raise InvalidArgumentError(f"n_quad must be >= 2, got {n_quad}")
+        self.n_quad = check_int(n_quad, "n_quad", 2)
         if not (np.isfinite(mixing.mean_inverse) and np.isfinite(mixing.mean_square)):
             raise InvalidArgumentError(
                 "mixing must have finite E[1/S] and E[S**2]")
         self.mixing = mixing
-        self.n_quad = int(n_quad)
-        self.scale = _as_time_fn(scale, "scale", 0.0, strict=True)
+        self.scale = _as_time_fn(scale, "scale", lo=0.0, lo_open=True)
         self.time_invariant = not callable(scale)
         nodes, weights = roots_legendre(self.n_quad)
         self._mix_u = 0.5 * (nodes + 1.0)

@@ -35,7 +35,7 @@ from . import rng
 from ._quadrature import abs_power_gap, adaptive_unit_integral, per_time_integrals
 from .copulas import elliptical_pretransform
 from .errors import (AssumptionViolatedError, InvalidArgumentError,
-                     NumericFailureError, check_int)
+                     NumericFailureError, check_float, check_int)
 from .grid import TimeGrid, integrate, make_uniform_grid
 from .kl import kl_from_ensemble, tail_energy, truncate
 from .marginals import (GaussianScale, LognormalMixing, MarginalFamily,
@@ -57,13 +57,9 @@ _AUX_SEED_Y = 0x636F70_02
 def rho(p, epsilon: float, q: float, beta: float) -> float:
     """Copula-term exponent; strictly inside (0, 1) on the valid box."""
     p = check_int(p, "p", 1)
-    epsilon, q, beta = float(epsilon), float(q), float(beta)
-    if not np.isfinite(epsilon) or epsilon <= 0.0:
-        raise InvalidArgumentError(f"epsilon must be positive, got {epsilon}")
-    if not np.isfinite(q) or q < 1.0:
-        raise InvalidArgumentError(f"q must be >= 1, got {q}")
-    if not np.isfinite(beta) or not 0.0 < beta <= 1.0:
-        raise InvalidArgumentError(f"beta must lie in (0, 1], got {beta}")
+    epsilon = check_float(epsilon, "epsilon", 0.0, lo_open=True)
+    q = check_float(q, "q", 1.0)
+    beta = check_float(beta, "beta", 0.0, 1.0, lo_open=True)
     denom = p * (p + epsilon) * (q + beta) - p * q * beta
     return epsilon * q * beta / denom
 
@@ -91,9 +87,7 @@ class RobustnessParams:
 
     def __post_init__(self):
         rho(self.p, self.epsilon, self.q, self.beta)  # validates the box
-        if not np.isfinite(self.lambda_floor) or self.lambda_floor <= 0.0:
-            raise InvalidArgumentError(
-                f"lambda_floor must be positive, got {self.lambda_floor}")
+        check_float(self.lambda_floor, "lambda_floor", 0.0, lo_open=True)
 
     @property
     def rho(self) -> float:
@@ -128,7 +122,7 @@ def pareto_minorant_params(family: Pareto, grid: TimeGrid, x0: float = 0.0,
     """
     if not isinstance(family, Pareto):
         raise InvalidArgumentError("pareto preset requires a Pareto family")
-    x0 = float(x0)
+    x0 = check_float(x0, "x0")
     if x0 == 0.0:
         lam = min(float(family.pdf(t, family.x_min)) for t in grid.points)
         return RobustnessParams(
@@ -137,9 +131,7 @@ def pareto_minorant_params(family: Pareto, grid: TimeGrid, x0: float = 0.0,
             minorant=family.pdf,
             center=lambda t: family.x_min,
             halfwidth=lambda t: 0.0)
-    if x0 <= family.x_min:
-        raise InvalidArgumentError(
-            f"piecewise minorant needs x0 > x_min = {family.x_min}, got {x0}")
+    check_float(x0, "x0 of the piecewise minorant", family.x_min, lo_open=True)
     lam = min(float(family.pdf(t, x0)) for t in grid.points)
 
     def piecewise(t, x):
@@ -216,10 +208,8 @@ def check_assumption(family_y: MarginalFamily, params: RobustnessParams,
         scale = max(float(f.max()), 1e-300)
         if np.any(g > f * (1.0 + 1e-9) + 1e-12 * scale) or np.any(g <= 0.0):
             minorant_ok = False
-        m_t = float(params.center(t))
-        x0_t = float(params.halfwidth(t))
-        if x0_t < 0.0:
-            raise InvalidArgumentError(f"halfwidth({t}) is negative")
+        m_t = check_float(params.center(t), f"center({t})")
+        x0_t = check_float(params.halfwidth(t), f"halfwidth({t})", 0.0)
         if x0_t > 0.0:
             lo = max(m_t - x0_t, float(x[0]))
             hi = min(m_t + x0_t, float(x[-1]))
@@ -249,8 +239,9 @@ def constant_K(params: RobustnessParams, family_y: MarginalFamily,
     the (p + epsilon)-th moment of Y diverges.
     """
     r = params.rho
-    indicator = np.array([1.0 if float(params.halfwidth(t)) > 0.0 else 0.0
-                          for t in grid.points])
+    indicator = np.array([
+        1.0 if check_float(params.halfwidth(t), f"halfwidth({t})", 0.0) > 0.0 else 0.0
+        for t in grid.points])
     window_term = params.lambda_floor ** (-params.beta) * integrate(grid, indicator)
     tail = _tail_integral(family_y, params, grid)
     if not np.isfinite(tail):
@@ -286,9 +277,7 @@ def pareto_constant_bound(family_y: Pareto, grid: TimeGrid,
     """
     if not isinstance(family_y, Pareto):
         raise InvalidArgumentError("the closed-form bound requires Pareto marginals")
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise InvalidArgumentError(f"gamma must be positive, got {gamma}")
+    gamma = check_float(gamma, "gamma", 0.0, lo_open=True)
     alphas = np.array([family_y.alpha(t) for t in grid.points])
     if alphas.min() < 2.0 + gamma:
         raise InvalidArgumentError(
@@ -468,17 +457,13 @@ class ExperimentConfig:
         if self.marginal_mode not in ("true", "empirical"):
             raise InvalidArgumentError(
                 f"marginal_mode must be 'true' or 'empirical', got {self.marginal_mode!r}")
-        if not np.isfinite(self.gamma) or self.gamma <= 0.0:
-            raise InvalidArgumentError(f"gamma must be positive, got {self.gamma}")
-        if float(self.alpha) < 2.0 + float(self.gamma):
-            raise InvalidArgumentError(
-                f"alpha = {self.alpha} violates the margin alpha >= 2 + gamma "
-                f"= {2.0 + self.gamma}: the squared-moment control fails")
+        # the margin alpha >= 2 + gamma gives the squared-moment control
+        gamma = check_float(self.gamma, "gamma", 0.0, lo_open=True)
+        check_float(self.alpha, "alpha", 2.0 + gamma)
         if not isinstance(self.mixing, LognormalMixing):
             raise InvalidArgumentError(
                 f"mixing must be a LognormalMixing, got {self.mixing!r}")
-        if not np.isfinite(self.x_min) or self.x_min <= 0.0:
-            raise InvalidArgumentError(f"x_min must be positive, got {self.x_min}")
+        check_float(self.x_min, "x_min", 0.0, lo_open=True)
         m = check_int(self.m, "m", 1)
         check_int(self.n_paths, "n_paths", 1)
         rng.check_seed(self.seed)

@@ -20,7 +20,7 @@ from . import rng
 from ._parallel import share, threads_for
 from ._quadrature import adaptive_unit_integral, per_time_integrals, step_power_integral
 from .copulas import CopulaEnsemble
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_float
 from .grid import TimeGrid, integrate
 from .marginals import Empirical, MarginalFamily
 
@@ -199,8 +199,7 @@ def check_moment_condition(family: MarginalFamily, grid: TimeGrid,
     A step quantile (``quantile_steps``, e.g. ``Empirical``) has the exact
     finite moment sum over its level segments, the sample mean of |x|**p.
     """
-    if not np.isfinite(p) or p <= 0.0:
-        raise InvalidArgumentError(f"p must be positive, got {p}")
+    check_float(p, "p", 0.0, lo_open=True)
 
     def moment_at(t):
         steps = family.quantile_steps(t)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ from numpy.testing import assert_allclose
 from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         InvalidArgumentError, LognormalMixing, Pareto,
                         ScaleMixtureGaussian, Uniform, attach_mc_check,
-                        basis_path_consistency_check, make_uniform_grid,
+                        basis_path_consistency_check, check_moment_condition,
+                        make_uniform_grid,
                         mc_coupling_cost, merge, optimal_coupling,
                         pathspace_wasserstein_same_copula, sample_comonotone,
                         sample_fbm_copula, wasserstein1d_empirical,
@@ -170,6 +172,17 @@ def test_pair_overflowing_at_the_same_end_reads_inf():
         rep = pathspace_wasserstein_same_copula(a, b, GRID, 1)
     assert rep.integrated == np.inf
     assert np.array_equal(rep.per_t, np.full(GRID.m, np.inf))
+
+
+def test_overflowing_quantiles_read_inf_without_a_warning():
+    # the Pareto quantile overflowing to +inf, and inf - inf in the gap at
+    # the end node, are how these integrals reach their verdict: they used
+    # to leak "overflow encountered in power" and "invalid value
+    # encountered in subtract" to the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wasserstein1d_quantile(Pareto(1.0, 0.005), Pareto(1.0, 0.006), 1.0, 1) == np.inf
+        assert check_moment_condition(Pareto(1.0, 0.03), GRID, 1).integral == np.inf
 
 
 @pytest.mark.parametrize("n_samples", [7, 1], ids=["end_segments", "one_value"])
