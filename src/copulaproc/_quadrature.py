@@ -148,12 +148,16 @@ def per_time_integrals(points, value_at, invariant: bool):
     it is evaluated once at the first time and that value is reported at
     every time.  Returns the per-time values, or None as soon as one time
     integrates to +inf, as ``adaptive_unit_integral`` reports divergence.
+    Step nodes built for these times are dropped when the loop ends.
     """
     per_t = np.empty(len(points))
-    for j, t in enumerate(points[:1] if invariant else points):
-        per_t[j] = value_at(t)
-        if per_t[j] == np.inf:
-            return None
+    try:
+        for j, t in enumerate(points[:1] if invariant else points):
+            per_t[j] = value_at(t)
+            if per_t[j] == np.inf:
+                return None
+    finally:
+        _nodes_for.cache_clear()
     if invariant:
         per_t[1:] = per_t[0]
     return per_t
@@ -223,9 +227,9 @@ class _StepNodes:
 @lru_cache(maxsize=1)
 def _nodes_for(levels: bytes, delta) -> _StepNodes:
     """Nodes of the most recent step levels and delta.  Every grid time of
-    an empirical family has the same levels, so the node set, like the
-    ladder, is built once and handed to the other quantile as the same
-    arrays."""
+    an empirical family has the same levels, so the node set is built once
+    per ``per_time_integrals`` loop, which drops it at the end, and handed
+    to the other quantile as the same arrays."""
     return _StepNodes(np.frombuffer(levels), delta)
 
 

@@ -30,6 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._kstest import ks_uniform_pvalue
 from .copulas import CopulaModel
 from .errors import (AssumptionViolatedError, InvalidArgumentError,
                      NumericFailureError, UnsupportedOperationError, check_int)
@@ -158,10 +159,7 @@ def _run_simulate(cfg, outdir):
     grid = _parse_grid(_require(cfg, "grid", ""))
     copula = _sample(cfg, grid)
     family = _parse_family(cfg["family"]) if "family" in cfg else None
-    # the only user of scipy.stats, whose import costs about 0.25 s
-    from scipy import stats
-    ks_p = [float(stats.kstest(copula.paths[:, j], "uniform").pvalue)
-            for j in range(grid.m)]
+    ks_p = [ks_uniform_pvalue(copula.paths[:, j]) for j in range(grid.m)]
     paths = copula.paths if family is None else merge(copula, family).paths
     write_matrix_csv(os.path.join(outdir, "ensemble.csv"), grid.points, paths)
     extras = {

@@ -142,9 +142,12 @@ def elliptical_pretransform(grid: TimeGrid, hurst: float, mixing: LognormalMixin
 
     def draw(gen):
         mix_u.append(gen.random())
-        return factor @ gen.standard_normal(grid.m)
+        return gen.standard_normal(grid.m)
 
-    paths = rng.path_rows(seed, n_paths, grid.m, draw)
+    normals = rng.path_rows(seed, n_paths, grid.m, draw)
+    # one stacked matrix-vector product per row: the bits of factor @ row
+    # (Z @ factor.T and einsum sum in another order)
+    paths = np.matmul(factor, normals[:, :, None])[:, :, 0]
     s = np.asarray(mixing.quantile(np.clip(mix_u, 1e-16, 1.0 - 1e-16)), dtype=float)
     paths *= s[:, None]
     return paths, family

@@ -464,7 +464,10 @@ class ExperimentConfig:
             raise InvalidArgumentError(
                 f"mixing must be a LognormalMixing, got {self.mixing!r}")
         check_float(self.x_min, "x_min", 0.0, lo_open=True)
-        m = check_int(self.m, "m", 1)
+        # the grid the experiment runs on, with a > 0 for the elliptical sampler
+        check_float(self.a, "a", 0.0, lo_open=True)
+        m = make_uniform_grid(self.a, self.b, self.m).m
+        check_float(self.hurst, "hurst", 0.0, 1.0, lo_open=True, hi_open=True)
         check_int(self.n_paths, "n_paths", 1)
         rng.check_seed(self.seed)
         rho(check_int(self.p, "p", 1, MAX_P), self.epsilon, self.q, self.beta)

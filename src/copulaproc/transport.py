@@ -112,7 +112,8 @@ def wasserstein1d_quantile(family_a: MarginalFamily, family_b: MarginalFamily,
     p = check_int(p, "p", 1, MAX_P)
     if family_a is family_b:
         return 0.0
-    power = _quantile_gap(family_a, family_b, p)(float(t))
+    per_t = per_time_integrals([float(t)], _quantile_gap(family_a, family_b, p), True)
+    power = float("inf") if per_t is None else float(per_t[0])
     return float(power ** (1.0 / p))
 
 

@@ -126,6 +126,23 @@ def test_simulate_without_family_emits_uniform_paths(tmp_path):
     assert _read_json(outdir / "manifest.json")["marginal"] is None
 
 
+def test_simulate_column_ks_p_are_scipys(tmp_path):
+    # without a family ensemble.csv holds the copula columns, and both files
+    # carry 17 significant digits, which read back to the same float64
+    from scipy import stats
+    cfg = {
+        "grid": {"a": 0.5, "b": 1.5, "m": 5},
+        "model": {"variant": "clayton", "theta": 2.0},
+        "n_paths": 300,
+        "seed": 23,
+    }
+    rc, outdir = _run(tmp_path, "simulate", cfg)
+    assert rc == 0
+    paths = np.loadtxt(outdir / "ensemble.csv", delimiter=",", skiprows=1)
+    want = [float(stats.kstest(paths[:, j], "uniform").pvalue) for j in range(5)]
+    assert _read_json(outdir / "manifest.json")["column_ks_p"] == want
+
+
 def test_simulate_fbm_columns_pass_ks(tmp_path):
     cfg = {
         "grid": {"a": 1.0, "b": 2.0, "m": 9},
@@ -141,13 +158,26 @@ def test_simulate_fbm_columns_pass_ks(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # only simulate's column KS p-values need scipy.stats; every other
-    # command, and a process that only imports the package, skips its import
+    # no module of the package imports scipy.stats, whose import costs a
+    # process about 0.7 s and 38 MB
     code = ("import sys, copulaproc.cli; "
             "sys.exit('scipy.stats' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], timeout=120,
                           env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")})
     assert done.returncode == 0, "importing copulaproc.cli loaded scipy.stats"
+
+
+def test_simulate_leaves_scipy_stats_unloaded(tmp_path):
+    # the column KS p-values are computed in the library
+    code = ("import sys; from copulaproc.cli import main; "
+            "rc = main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+            "sys.exit(rc or 10 * ('scipy.stats' in sys.modules))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(REPO_ROOT, "configs", "simulate.json"),
+         str(tmp_path / "out")], timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")})
+    assert done.returncode != 10, "simulate loaded scipy.stats"
+    assert done.returncode == 0
 
 
 def test_unknown_key_is_named_and_exits_2(tmp_path, capsys):

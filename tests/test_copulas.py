@@ -235,3 +235,24 @@ def test_ensemble_validation():
     ens = sample_independence(GRID, 5, seed=1)
     with pytest.raises(ValueError):
         ens.paths[0, 0] = 0.5  # read-only
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4100])
+def test_elliptical_pretransform_matches_a_per_row_product_bitwise(n):
+    # the stacked product returns the bits of factor @ row, row by row
+    from copulaproc import rng
+    from copulaproc.copulas import elliptical_pretransform
+    grid = make_uniform_grid(1.0, 2.0, 65)
+    mixing = LognormalMixing(0.0, 0.5)
+    scale = grid.points ** 0.7
+    factor, _ = cholesky_with_jitter(fbm_covariance(grid.points, 0.7) / np.outer(scale, scale))
+    mix_u = []
+
+    def draw(gen):
+        mix_u.append(gen.random())
+        return factor @ gen.standard_normal(grid.m)
+
+    want = rng.path_rows(31, n, grid.m, draw)
+    want *= mixing.quantile(np.clip(mix_u, 1e-16, 1.0 - 1e-16))[:, None]
+    got, _ = elliptical_pretransform(grid, 0.7, mixing, n, 31)
+    assert np.array_equal(got, want)

@@ -386,6 +386,17 @@ def test_experiment_config_rejects_bad_marginal_and_exponent_inputs_up_front(fie
                             mixing=LognormalMixing(0.0, 0.0)).x_min == 0.5
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"hurst": 2.0}, "hurst"), ({"hurst": True}, "hurst"), ({"a": "x"}, "a"),
+    ({"a": 0.0}, "a"), ({"a": np.nan}, "a"), ({"a": 2.0, "b": 1.5}, "b"),
+    ({"m": 1, "n_keep": (1,)}, "m")])
+def test_experiment_config_rejects_a_grid_or_hurst_that_cannot_run(kwargs, field):
+    # each used to construct and fail only when the experiment ran: in
+    # make_uniform_grid or in the elliptical sampler, which needs a > 0
+    with pytest.raises(InvalidArgumentError, match=f"^{field} "):
+        ExperimentConfig(**{"n_paths": 300, "n_keep": (1, 2), **kwargs})
+
+
 def test_experiment_draws_the_truncation_auxiliary_uniforms_once(monkeypatch):
     # the five truncation levels share one matrix of seed + 211
     seeds = []
@@ -430,8 +441,9 @@ def test_experiment_holds_at_most_six_ensembles():
 
 
 def test_experiment_in_empirical_mode_holds_at_most_nine_ensembles():
-    # the empirical family of Y adds one matrix, and the step-quantile
-    # nodes cached by its marginal term about one more
+    # the empirical family of Y adds one matrix: 7.0 alone on one CPU, and
+    # 8.2 while the step-quantile nodes of its marginal term stayed cached
+    # after their loop
     peak = _experiment_peak(4_000, 33, "empirical")
     assert peak <= 9, peak
 

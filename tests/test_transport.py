@@ -377,3 +377,26 @@ def test_uncoupled_ensembles_get_one_message():
             with pytest.raises(InvalidArgumentError, match="ensembles are not coupled"):
                 call()
     check_coupled(ens, merge(sample_fbm_copula(GRID, 0.5, 8, seed=2), fam))
+
+
+def test_step_nodes_are_built_once_per_loop_and_dropped_after_it(monkeypatch):
+    # every grid time of an empirical family shares one node set, which
+    # used to stay cached after the integral (1.22 MB at 4,000 x 33)
+    built = []
+    step_nodes = _quadrature._StepNodes
+
+    def spy(levels, delta):
+        built.append(levels.size)
+        return step_nodes(levels, delta)
+
+    monkeypatch.setattr(_quadrature, "_StepNodes", spy)
+    _quadrature._nodes_for.cache_clear()
+    rng = np.random.default_rng(21)
+    grid = make_uniform_grid(0.5, 1.5, 5)
+    emp = Empirical(grid, rng.lognormal(0.3, 0.4, (grid.m, 400)))
+    want = pathspace_wasserstein_same_copula(emp, Pareto(1.0, 3.0), grid, 1)
+    assert len(built) == 1 and _quadrature._nodes_for.cache_info().currsize == 0
+    again = pathspace_wasserstein_same_copula(emp, Pareto(1.0, 3.0), grid, 1)
+    assert len(built) == 2 and np.array_equal(again.per_t, want.per_t)
+    assert wasserstein1d_quantile(emp, Pareto(1.0, 3.0), t=grid.points[2], p=1) == want.per_t[2]
+    assert len(built) == 3 and _quadrature._nodes_for.cache_info().currsize == 0
