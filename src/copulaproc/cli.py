@@ -91,7 +91,7 @@ def _int_list(value, where: str) -> list:
 def _parse_grid(section, context="grid") -> TimeGrid:
     _check_keys(section, ("a", "b", "m"), context)
     a, b = (_float(_require(section, key, context), f"{context}.{key}") for key in ("a", "b"))
-    return make_uniform_grid(a, b, _int(_require(section, "m", context), f"{context}.m"))
+    return make_uniform_grid(a, b, _int(_require(section, "m", context), f"{context}.m", 2))
 
 
 def _parse_mixing(section, context="mixing") -> LognormalMixing:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import rng
-from .errors import InvalidArgumentError, NumericFailureError, check_float
+from .errors import InvalidArgumentError, NumericFailureError, check_array, check_float
 from .grid import TimeGrid
 from .marginals import LognormalMixing, ScaleMixtureGaussian
 
@@ -43,14 +43,12 @@ class CopulaEnsemble:
     n_paths: int = field(init=False)
 
     def __post_init__(self):
-        paths = np.asarray(self.paths, dtype=float)
+        paths = check_array(self.paths, "copula paths", 0.0, 1.0)
         if paths.ndim != 2 or paths.shape[1] != self.grid.m:
             raise InvalidArgumentError(
                 f"paths must have shape (n, {self.grid.m}), got {paths.shape}")
         if paths.shape[0] < 1:
             raise InvalidArgumentError("ensemble needs at least one path")
-        if np.isnan(paths).any() or paths.min() < 0.0 or paths.max() > 1.0:
-            raise InvalidArgumentError("copula entries must lie in [0, 1]")
         paths.setflags(write=False)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "n_paths", paths.shape[0])
@@ -186,15 +184,10 @@ def sample_archimedean_clayton(grid: TimeGrid, theta: float, n_paths: int,
 
 def empirical_copula_cdf(ensemble: CopulaEnsemble, time_indices, point) -> float:
     """Fraction of paths lying at or below ``point`` at the given columns."""
-    idx = np.asarray(time_indices, dtype=int)
-    pt = np.asarray(point, dtype=float)
+    idx = check_array(time_indices, "time_indices", 0, ensemble.grid.m - 1).astype(int)
+    pt = check_array(point, "point", 0.0, 1.0)
     if idx.ndim != 1 or idx.size < 1 or pt.shape != idx.shape:
         raise InvalidArgumentError("time_indices and point must be 1-d of equal length")
-    if idx.min() < 0 or idx.max() >= ensemble.grid.m:
-        raise InvalidArgumentError(
-            f"time index out of range [0, {ensemble.grid.m - 1}]")
-    if np.isnan(pt).any() or pt.min() < 0.0 or pt.max() > 1.0:
-        raise InvalidArgumentError("point entries must lie in [0, 1]")
     hits = np.all(ensemble.paths[:, idx] <= pt[None, :], axis=1)
     return float(np.mean(hits))
 

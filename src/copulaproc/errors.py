@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, and the integer and float
-checks every module validates its number arguments with.
+"""Exception hierarchy shared by all modules, and the integer, float and
+array checks every module validates its number arguments with.
 
 Each class corresponds to one of the failure categories the command line
 interface maps to a distinct exit code.  Library code raises these instead
@@ -9,6 +9,7 @@ breakdown without parsing messages.
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -71,3 +72,24 @@ def check_float(value, name: str, lo: float = -math.inf, hi: float = math.inf, *
     else:
         span = f" in {'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}"
     raise InvalidArgumentError(f"{name} must be a finite number{span}, got {value!r}")
+
+
+def check_array(values, name: str, lo: float = -math.inf, hi: float = math.inf, *,
+                lo_open: bool = False, hi_open: bool = False) -> np.ndarray:
+    """Return ``values`` as a float64 array, not copied if it is one, if
+    every entry is a finite number within the bounds, as ``check_float``
+    reads them; an empty array passes.  Raise ``InvalidArgumentError``
+    naming ``name`` and the least or greatest entry, whichever is refused,
+    otherwise, or naming the input when numpy cannot read it as floats.
+    Bounds cost one ``min`` and one ``max``, through which a NaN
+    propagates; no bounds, one ``np.isfinite`` pass."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgumentError(
+            f"{name} must hold numbers, got {reprlib.repr(values)}") from None
+    if arr.size and not (lo == -math.inf and hi == math.inf and np.isfinite(arr).all()):
+        for entry in (float(arr.min()), float(arr.max())):
+            check_float(entry, f"every entry of {name}", lo, hi,
+                        lo_open=lo_open, hi_open=hi_open)
+    return arr

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericFailureError, check_float, check_int
+from .errors import (InvalidArgumentError, NumericFailureError, check_array, check_float,
+                     check_int)
 
 _WEIGHT_SUM_RTOL = 1e-12
 
@@ -42,22 +43,17 @@ class TimeGrid:
     m: int = field(init=False)
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        points = check_array(self.points, "grid points")
+        weights = check_array(self.weights, "grid weights", 0.0)
         if points.ndim != 1 or points.size < 2:
             raise InvalidArgumentError("grid needs at least two points")
         if weights.shape != points.shape:
             raise InvalidArgumentError("points and weights must have equal length")
-        if not (np.isfinite(points).all() and np.isfinite(weights).all()):
-            raise InvalidArgumentError("grid points and weights must be finite")
         a = check_float(self.a, "a")
         check_float(self.b, "b", a, lo_open=True)
-        if np.any(np.diff(points) <= 0):
-            raise InvalidArgumentError("grid points must be strictly increasing")
+        check_array(np.diff(points), "grid spacings", 0.0, lo_open=True)
         if points[0] != self.a or points[-1] != self.b:
             raise InvalidArgumentError("grid points must start at a and end at b")
-        if np.any(weights < 0):
-            raise InvalidArgumentError("grid weights must be nonnegative")
         length = self.b - self.a
         if abs(weights.sum() - length) > _WEIGHT_SUM_RTOL * max(1.0, length):
             raise InvalidArgumentError(
@@ -92,7 +88,7 @@ def make_uniform_grid(a: float, b: float, m: int) -> TimeGrid:
 
 def grid_from_points(points) -> TimeGrid:
     """Grid over given strictly increasing points with trapezoid weights."""
-    points = np.asarray(points, dtype=float)
+    points = check_array(points, "grid points")
     if points.ndim != 1 or points.size < 2:
         raise InvalidArgumentError("need a 1-d array of at least two points")
     return TimeGrid(float(points[0]), float(points[-1]), points,

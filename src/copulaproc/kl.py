@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidArgumentError, NumericFailureError, check_int
+from .errors import InvalidArgumentError, NumericFailureError, check_array, check_int
 from .grid import TimeGrid
 from .sklar import ProcessEnsemble
 
@@ -55,20 +55,14 @@ def kl_expand(cov: np.ndarray, grid: TimeGrid, mean=None) -> KLDecomposition:
     zero and anything more negative is treated as a numerical failure.
     ``mean`` defaults to zero and is only used by truncation.
     """
-    cov = np.asarray(cov, dtype=float)
+    cov = check_array(cov, "covariance")
     if cov.shape != (grid.m, grid.m):
         raise InvalidArgumentError(
             f"covariance must have shape ({grid.m}, {grid.m}), got {cov.shape}")
-    if not np.isfinite(cov).all():
-        raise InvalidArgumentError("covariance must be finite")
-    if float(np.abs(cov - cov.T).max()) > _SYMMETRY_TOL:
-        raise InvalidArgumentError(
-            f"covariance asymmetry exceeds {_SYMMETRY_TOL:g}")
-    if mean is None:
-        mean = np.zeros(grid.m)
-    mean = np.asarray(mean, dtype=float)
-    if mean.shape != (grid.m,) or not np.isfinite(mean).all():
-        raise InvalidArgumentError(f"mean must be a finite array of shape ({grid.m},)")
+    check_array(cov - cov.T, "covariance asymmetry", -_SYMMETRY_TOL, _SYMMETRY_TOL)
+    mean = np.zeros(grid.m) if mean is None else check_array(mean, "mean")
+    if mean.shape != (grid.m,):
+        raise InvalidArgumentError(f"mean must have shape ({grid.m},), got {mean.shape}")
 
     sqrt_w = np.sqrt(grid.weights)
     sym = sqrt_w[:, None] * (0.5 * (cov + cov.T)) * sqrt_w[None, :]

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
 from ._parallel import share, threads_for
-from .errors import InvalidArgumentError, UnsupportedOperationError, check_float, check_int
+from .errors import (InvalidArgumentError, UnsupportedOperationError, check_array,
+                     check_float, check_int)
 from .grid import TimeGrid, grid_from_points
 from .serialize import write_matrix_csv
 
@@ -55,11 +56,16 @@ def _as_time_fn(value, name: str, **bounds):
     return checked
 
 
-def _check_unit(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.size and (np.isnan(arr).any() or arr.min() < 0.0 or arr.max() > 1.0):
-        raise InvalidArgumentError(f"{name} must lie in [0, 1]")
-    return arr
+def _points(x, name: str) -> np.ndarray:
+    """Evaluation points as floats: +-inf are points (F_t(inf) = 1), NaN
+    and what numpy cannot read as floats are refused."""
+    try:
+        arr = np.asarray(x, dtype=float)
+        if not np.isnan(arr).any():
+            return arr
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidArgumentError(f"{name} argument must hold numbers other than NaN")
 
 
 def _match(template, arr: np.ndarray):
@@ -154,10 +160,7 @@ class MarginalFamily:
 
     # ----- public surface ------------------------------------------------
     def _evaluate(self, hook, t, x):
-        arr = np.asarray(x, dtype=float)
-        if np.isnan(arr).any():
-            raise InvalidArgumentError(f"{hook.__name__[1:]} argument contains NaN")
-        return _match(x, hook(float(t), np.atleast_1d(arr)))
+        return _match(x, hook(float(t), np.atleast_1d(_points(x, hook.__name__[1:]))))
 
     def cdf(self, t, x):
         return self._evaluate(self._cdf, t, x)
@@ -167,7 +170,7 @@ class MarginalFamily:
         return self._evaluate(self._cdf_left, t, x)
 
     def quantile(self, t, u):
-        arr = np.atleast_1d(_check_unit(u, "u"))
+        arr = np.atleast_1d(check_array(u, "u", 0.0, 1.0))
         t = float(t)
         lo, hi = self.support(t)
         uq = arr.copy()
@@ -203,8 +206,8 @@ class MarginalFamily:
         the sum rounds to F_t(x-)) becomes the next float above it: the
         quantile sends F_t(x-) to the level below x, and that float to x.
         """
-        varr = _check_unit(v, "v")
-        xarr = np.asarray(x, dtype=float)
+        varr = check_array(v, "v", 0.0, 1.0)
+        xarr = _points(x, "distributional_transform x")
         if xarr.shape != varr.shape:
             raise InvalidArgumentError("x and v must have matching shapes")
         left, right = self._cdf_limits(float(t), np.atleast_1d(xarr))
@@ -478,9 +481,8 @@ class ScaleMixtureGaussian(MarginalFamily):
         nodes, weights = roots_legendre(self.n_quad)
         self._mix_u = 0.5 * (nodes + 1.0)
         self._mix_w = 0.5 * weights
-        self._mix_s = np.asarray(mixing.quantile(self._mix_u), dtype=float)
-        if np.any(self._mix_s <= 0.0) or not np.isfinite(self._mix_s).all():
-            raise InvalidArgumentError("mixing quantile must be positive and finite")
+        self._mix_s = check_array(mixing.quantile(self._mix_u), "mixing quantile",
+                                  0.0, lo_open=True)
         self._table = None
         self._table_lock = threading.Lock()
 
@@ -600,15 +602,12 @@ class Empirical(MarginalFamily):
     is_continuous = False
 
     def __init__(self, grid: TimeGrid, samples):
-        samples = np.array(samples, dtype=float)
+        samples = check_array(samples, "samples")
         if samples.ndim != 2 or samples.shape[0] != grid.m or samples.shape[1] < 1:
             raise InvalidArgumentError(
                 f"samples must have shape ({grid.m}, n>=1), got {samples.shape}")
-        if not np.isfinite(samples).all():
-            raise InvalidArgumentError("samples must be finite")
         self.grid = grid
-        # ``np.array`` copied the caller's samples: sort that copy in place
-        samples.sort(axis=1)
+        samples = np.sort(samples, axis=1)
         samples.setflags(write=False)
         self._columns = samples
         n = self._columns.shape[1]

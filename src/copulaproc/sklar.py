@@ -20,7 +20,7 @@ from . import rng
 from ._parallel import share, threads_for
 from ._quadrature import adaptive_unit_integral, per_time_integrals, step_power_integral
 from .copulas import CopulaEnsemble
-from .errors import InvalidArgumentError, check_float
+from .errors import InvalidArgumentError, check_array, check_float
 from .grid import TimeGrid, integrate
 from .marginals import Empirical, MarginalFamily
 
@@ -45,14 +45,12 @@ class ProcessEnsemble:
     n_paths: int = field(init=False)
 
     def __post_init__(self):
-        paths = np.asarray(self.paths, dtype=float)
+        paths = check_array(self.paths, "process paths")
         if paths.ndim != 2 or paths.shape[1] != self.grid.m:
             raise InvalidArgumentError(
                 f"paths must have shape (n, {self.grid.m}), got {paths.shape}")
         if paths.shape[0] < 1:
             raise InvalidArgumentError("ensemble needs at least one path")
-        if not np.isfinite(paths).all():
-            raise InvalidArgumentError("process paths must be finite")
         paths.setflags(write=False)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "n_paths", paths.shape[0])

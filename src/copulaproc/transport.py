@@ -30,7 +30,7 @@ import numpy as np
 from ._quadrature import (abs_power_gap, adaptive_unit_integral, merge_steps,
                           per_time_integrals, step_gap_integral, step_power_integral)
 from .copulas import CopulaEnsemble
-from .errors import InvalidArgumentError, NumericFailureError, check_int
+from .errors import InvalidArgumentError, NumericFailureError, check_array, check_int
 from .grid import TimeGrid, integrate
 from .marginals import MarginalFamily
 from .sklar import ProcessEnsemble, merge
@@ -120,12 +120,10 @@ def wasserstein1d_quantile(family_a: MarginalFamily, family_b: MarginalFamily,
 def wasserstein1d_empirical(samples_a, samples_b, p: int) -> float:
     """W_p between two equal-size empirical samples (sorted matching)."""
     p = check_int(p, "p", 1, MAX_P)
-    a = np.asarray(samples_a, dtype=float).ravel()
-    b = np.asarray(samples_b, dtype=float).ravel()
+    a = check_array(samples_a, "samples_a").ravel()
+    b = check_array(samples_b, "samples_b").ravel()
     if a.size != b.size or a.size == 0:
         raise InvalidArgumentError("samples must be nonempty and of equal size")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InvalidArgumentError("samples must be finite")
     diffs = np.abs(np.sort(a) - np.sort(b)) ** p
     return float(np.mean(diffs) ** (1.0 / p))
 

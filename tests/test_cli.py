@@ -276,6 +276,8 @@ def test_family_config_errors_exit_2(tmp_path, capsys, section, named):
      "grid.a"),
     ("simulate", dict(SIMULATE_CFG, family={"kind": "gaussian_scale", "sigma": True}),
      "family.sigma"),
+    ("simulate", dict(SIMULATE_CFG, grid={"a": 0.0, "b": 1.0, "m": 1}),
+     "config key grid.m must be an integer >= 2, got 1"),
 ])
 def test_non_numeric_config_value_exits_2(tmp_path, capsys, command, cfg, named):
     rc, _ = _run(tmp_path, command, cfg)

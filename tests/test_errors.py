@@ -5,11 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from copulaproc import (CopulaModel, ExperimentConfig, GaussianScale, LognormalMixing,
-                        Pareto, ScaleMixtureGaussian, TimeGrid, check_assumption,
-                        check_moment_condition, constant_K, gaussian_minorant_params,
-                        make_uniform_grid, sample_archimedean_clayton)
-from copulaproc.errors import InvalidArgumentError, check_float, check_int
+from copulaproc import (CopulaModel, Empirical, ExperimentConfig, GaussianScale,
+                        LognormalMixing, Pareto, ProcessEnsemble, ScaleMixtureGaussian,
+                        TimeGrid, check_assumption, check_moment_condition, constant_K,
+                        gaussian_minorant_params, make_uniform_grid,
+                        sample_archimedean_clayton, wasserstein1d_empirical)
+from copulaproc.errors import InvalidArgumentError, check_array, check_float, check_int
 from copulaproc.rng import path_generator
 from copulaproc.robustness import rho
 
@@ -59,6 +60,55 @@ def test_check_float_names_the_argument_and_its_range(value, bounds, span):
     assert str(info.value) == f"the_key must be a finite number{span}, got {value!r}"
 
 
+@pytest.mark.parametrize("values, bounds", [
+    ([], {"lo": 0.0, "hi": 1.0}), (np.empty((0, 3)), {"lo": 0.0, "lo_open": True}),
+    (0.5, {"lo": 0.0, "hi": 1.0}), ([0.0, 1.0], {"lo": 0.0, "hi": 1.0}),
+    ([[-1e300, 2], [3, 1e300]], {}), ((0, 2), {"lo": 0.0, "hi": 2.0}),
+    (np.arange(4, dtype=np.int8), {"lo": 0.0, "hi": 3.0}),
+    (np.float32([0.5, 1.5]), {"lo": 0.5, "hi": 2.0, "hi_open": True})])
+def test_check_array_returns_a_float64_array(values, bounds):
+    got = check_array(values, "x", **bounds)
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    assert np.array_equal(got, np.asarray(values, dtype=float))
+
+
+def test_check_array_returns_a_float64_array_as_is():
+    values = np.linspace(0.0, 1.0, 5)
+    assert check_array(values, "x", 0.0, 1.0) is values
+
+
+@pytest.mark.parametrize("values, bounds, message", [
+    ([0.5, math.nan], {"lo": 0.0, "hi": 1.0},
+     "every entry of x must be a finite number in [0, 1], got nan"),
+    ([math.nan, 2.0], {}, "every entry of x must be a finite number, got nan"),
+    ([1.0, math.inf], {}, "every entry of x must be a finite number, got inf"),
+    ([-math.inf, 1.0], {"hi": 2.0}, "every entry of x must be a finite number <= 2, got -inf"),
+    ([1.0, math.inf], {"lo": 0.0}, "every entry of x must be a finite number >= 0, got inf"),
+    ([[0.5, -0.25], [0.0, 0.75]], {"lo": 0.0, "hi": 1.0},
+     "every entry of x must be a finite number in [0, 1], got -0.25"),
+    ([0.5, 1.5], {"lo": 0.0, "hi": 1.0},
+     "every entry of x must be a finite number in [0, 1], got 1.5"),
+    ([0.0, 0.5], {"lo": 0.0, "lo_open": True},
+     "every entry of x must be a finite number > 0, got 0.0"),
+    ([0.5, 1.0], {"lo": 0.0, "hi": 1.0, "hi_open": True},
+     "every entry of x must be a finite number in [0, 1), got 1.0"),
+    (2.0, {"hi": 1.0}, "every entry of x must be a finite number <= 1, got 2.0"),
+    ("abc", {}, "x must hold numbers, got 'abc'"),
+    (["0.5", "a"], {"lo": 0.0, "hi": 1.0}, "x must hold numbers, got ['0.5', 'a']"),
+    (np.array(["b"]), {}, "x must hold numbers, got array(['b'], dtype='<U1')"),
+    ([[1.0, 2.0], [3.0]], {}, "x must hold numbers, got [[1.0, 2.0], [3.0]]"),
+    ([None, 1.0], {}, "every entry of x must be a finite number, got nan"),
+    (1 + 2j, {}, "x must hold numbers, got (1+2j)"),
+    ([10**400], {}, "x must hold numbers, got [100000000000000000...0000000000000000000]"),
+], ids=["nan_bounded", "nan", "inf", "minus_inf", "inf_half_bounded", "below",
+        "above", "lo_open", "hi_open", "scalar", "string", "string_list", "string_array",
+        "ragged", "none", "complex", "int_overflow"])
+def test_check_array_names_the_argument_the_entry_and_the_range(values, bounds, message):
+    with pytest.raises(InvalidArgumentError) as info:
+        check_array(values, "x", **bounds)
+    assert str(info.value) == message
+
+
 _GRID = make_uniform_grid(1.0, 2.0, 3)
 _PARAMS = gaussian_minorant_params(GaussianScale(1.0), _GRID)
 
@@ -102,3 +152,38 @@ def test_a_constant_is_refused_at_construction_and_a_callable_at_evaluation():
     with pytest.raises(InvalidArgumentError,
                        match=r"^sigma must be a finite number >= 0, got -0.5 at t=1.5$"):
         family.quantile(1.5, 0.5)
+
+
+_EMPIRICAL = Empirical(_GRID, np.arange(12.0).reshape(3, 4))
+
+
+#: array arguments that used to pass a NaN through as a value (NaN, 0.0 or
+#: 1.0 from distributional_transform) or to raise numpy's bare ValueError
+#: on a string, and the message each must start with
+@pytest.mark.parametrize("call, message", [
+    (lambda: GaussianScale(1.0).distributional_transform(1.0, math.nan, 0.5),
+     "distributional_transform x argument must hold numbers other than NaN"),
+    (lambda: Pareto(1.0, 3.0).distributional_transform(1.0, [2.0, math.nan], [0.5, 0.5]),
+     "distributional_transform x argument must hold numbers other than NaN"),
+    (lambda: _EMPIRICAL.distributional_transform(1.5, [math.nan], [0.5]),
+     "distributional_transform x argument must hold numbers other than NaN"),
+    (lambda: _EMPIRICAL.distributional_transform(1.5, ["a"], [0.5]),
+     "distributional_transform x argument must hold numbers other than NaN"),
+    (lambda: Pareto(1.0, 3.0).cdf(1.0, "abc"), "cdf argument must hold numbers other than NaN"),
+    (lambda: GaussianScale(1.0).quantile(1.0, ["0.5", "x"]), "u must hold numbers, got "),
+    (lambda: ProcessEnsemble(_GRID, [["a", "b", "c"]]), "process paths must hold numbers, got "),
+    (lambda: wasserstein1d_empirical(["a"], [1.0], 1), "samples_a must hold numbers, got "),
+    (lambda: wasserstein1d_empirical([1.0], [math.nan], 1),
+     "every entry of samples_b must be a finite number, got nan"),
+], ids=["gaussian_transform_nan", "pareto_transform_nan", "empirical_transform_nan",
+        "empirical_transform_str", "pareto_cdf_str", "quantile_str", "process_str",
+        "wasserstein_str", "wasserstein_nan"])
+def test_library_refuses_bad_arrays(call, message):
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}"):
+        call()
+
+
+def test_family_evaluation_points_may_be_infinite():
+    family = GaussianScale(1.0)
+    assert family.cdf(1.0, [-math.inf, math.inf]).tolist() == [0.0, 1.0]
+    assert family.distributional_transform(1.0, math.inf, 0.5) == 1.0

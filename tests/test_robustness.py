@@ -462,6 +462,9 @@ def test_experiment_report_equals_one_extracted_without_overwriting(monkeypatch,
     monkeypatch.setattr(robustness, "extract_copula", keep_process)
     assert pareto_elliptical_experiment(config) == want
     assert overwrites.count(True) == len(config.n_keep)
+    # the pre-transform's copula, then per level the truncated copula and
+    # the two of the copula gap
+    assert len(overwrites) == 1 + 3 * len(config.n_keep)
 
 
 def test_minorant_param_validation():
