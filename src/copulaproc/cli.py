@@ -21,6 +21,7 @@ failure, 4 violated model assumption.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -94,61 +95,60 @@ def _parse_grid(section, context="grid") -> TimeGrid:
     return make_uniform_grid(a, b, _int(_require(section, "m", context), f"{context}.m", 2))
 
 
-def _parse_mixing(section, context="mixing") -> LognormalMixing:
-    _check_keys(section, ("mu", "sigma"), context)
-    return LognormalMixing(_float(section.get("mu", 0.0), f"{context}.mu"),
-                           _float(section.get("sigma", 0.5), f"{context}.sigma"))
+#: annotation text -> reader of a config value for a parameter so annotated;
+#: any other annotation, or none, reads a number
+_READERS = {
+    "int": _int,
+    "str": lambda value, where: value,
+    "Sequence[int]": lambda value, where: tuple(_int_list(value, where)),
+    "LognormalMixing": lambda value, where: _build(LognormalMixing, value, where),
+}
+
+
+def _build(fn, section, context: str, keys=None, extra=()):
+    """Call ``fn`` with a config section holding its parameters (or ``keys``)
+    and ``extra``; a parameter without a default is required.  A value is
+    read by the text of its parameter's annotation (every module defers
+    annotations), and ``X | None`` also takes a JSON null."""
+    params = inspect.signature(fn).parameters
+    keys = tuple(params) if keys is None else keys
+    _check_keys(section, (*keys, *extra), context)
+    kwargs = {}
+    for key in keys:
+        where = f"{context}.{key}" if context else key
+        if key in section:
+            value, annotation = section[key], str(params[key].annotation)
+            read = _READERS.get(annotation.removesuffix(" | None"), _float)
+            null = value is None and annotation.endswith(" | None")
+            kwargs[key] = None if null else read(value, where)
+        elif params[key].default is inspect.Parameter.empty:
+            raise InvalidArgumentError(f"missing config key {where}")
+    return fn(**kwargs)
 
 
 def _parse_family(section, context="family"):
-    """Build a ``FAMILY_KINDS`` family from the keys its class declares.
-
-    A key is required when the constructor gives it no default; for
-    families with a ``power_law_key``, ``power_law_hurst`` replaces it.
-    """
+    """Build a ``FAMILY_KINDS`` family from the keys it declares; for
+    families with a ``power_law_key``, ``power_law_hurst`` replaces it."""
     kind = _require(section, "kind", context)
     cls = FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise InvalidArgumentError(f"unknown marginal kind {context}.kind = {kind!r}")
     power_key = cls.power_law_key
-    _check_keys(section, ("kind", *cls.config_keys)
-                + (("power_law_hurst",) if power_key else ()), context)
-    defaults = inspect.signature(cls).parameters
-    kwargs = {}
-    for key in cls.config_keys:
-        where = f"{context}.{key}"
-        if key == "mixing":
-            kwargs[key] = _parse_mixing(section.get(key, {}), where)
-        elif key in section:
-            kwargs[key] = _float(section[key], where)
-        elif defaults[key].default is inspect.Parameter.empty:
-            raise InvalidArgumentError(f"missing config key {where}")
-    if "power_law_hurst" in section:
+    extra = ("kind", "power_law_hurst") if power_key else ("kind",)
+    if power_key and "power_law_hurst" in section:
         if power_key in section:
             raise InvalidArgumentError(
                 f"{context}: give either {power_key} or power_law_hurst, not both")
-        return cls.power_law(_float(section["power_law_hurst"], f"{context}.power_law_hurst"),
-                             **kwargs)
-    return cls(**kwargs)
-
-
-def _parse_model(section, context="model") -> CopulaModel:
-    _check_keys(section, ("variant", "hurst", "theta", "mixing", "t0"), context)
-    variant = _require(section, "variant", context)
-    mixing = None
-    if "mixing" in section:
-        mixing = _parse_mixing(section["mixing"], f"{context}.mixing")
-    numbers = {key: None if section.get(key) is None
-               else _float(section[key], f"{context}.{key}")
-               for key in ("hurst", "theta", "t0")}
-    return CopulaModel(variant=variant, mixing=mixing, **numbers)
+        hurst = _float(section["power_law_hurst"], f"{context}.power_law_hurst")
+        return _build(functools.partial(cls.power_law, hurst), section, context, extra=extra)
+    return _build(cls, section, context, cls.config_keys, extra)
 
 
 def _sample(cfg, grid, context=""):
     """Sample the model and n_paths of cfg, or of its ``context`` block,
     on grid at the config seed."""
     section, prefix = (cfg[context], f"{context}.") if context else (cfg, "")
-    model = _parse_model(_require(section, "model", context), prefix + "model")
+    model = _build(CopulaModel, _require(section, "model", context), prefix + "model")
     n_paths = _int(_require(section, "n_paths", context), prefix + "n_paths", 1)
     seed = _int(_require(cfg, "seed", ""), "seed")
     return model.sample(grid, n_paths, seed)
@@ -190,21 +190,8 @@ def _run_wasserstein(cfg, outdir):
     return {}, ["report.json", "per_t.csv"]
 
 
-#: robustness config key -> coercion into its ExperimentConfig field
-_ROBUSTNESS_KEYS = {
-    "a": _float, "b": _float, "m": _int, "n_paths": _int, "seed": _int,
-    "hurst": _float, "mixing": _parse_mixing, "x_min": _float, "alpha": _float,
-    "gamma": _float, "n_keep": lambda value, where: tuple(_int_list(value, where)),
-    "marginal_mode": lambda value, where: value, "p": _int, "epsilon": _float,
-    "q": _float, "beta": _float,
-}
-
-
 def _run_robustness(cfg, outdir):
-    _check_keys(cfg, _ROBUSTNESS_KEYS, "")
-    kwargs = {key: parse(cfg[key], key) for key, parse in _ROBUSTNESS_KEYS.items()
-              if key in cfg}
-    report = pareto_elliptical_experiment(ExperimentConfig(**kwargs))
+    report = pareto_elliptical_experiment(_build(ExperimentConfig, cfg, ""))
     write_json(os.path.join(outdir, "report.json"), report)
     header = ("n_keep", "lhs", "marginal_term", "copula_term", "K", "rho",
               "tail_energy", "holds")
@@ -254,14 +241,9 @@ def _run_check(cfg, outdir):
         if preset is None:
             raise InvalidArgumentError(
                 f"assumption mode supports {' and '.join(MINORANT_PRESETS)} families")
-        # the preset's keywords after (family, grid)
-        keys = [*inspect.signature(preset).parameters][2:]
-        section = cfg.get("params", {})
-        _check_keys(section, keys, "params")
-        common = {key: _float(section[key], f"params.{key}")
-                  for key in keys if key in section and key != "p"}
-        common["p"] = _int(section.get("p", 1), "params.p", 1)
-        report = check_assumption(family, preset(family, grid, **common), grid)
+        params = _build(functools.partial(preset, family, grid), cfg.get("params", {}),
+                        "params")
+        report = check_assumption(family, params, grid)
     else:
         raise InvalidArgumentError(f"mode must be 'moment' or 'assumption', got {mode!r}")
     write_json(os.path.join(outdir, "report.json"), report)

@@ -199,7 +199,7 @@ class CopulaModel:
     variant: str
     hurst: float | None = None
     theta: float | None = None
-    mixing: LognormalMixing | None = None
+    mixing: LognormalMixing = LognormalMixing()
     t0: float | None = None
 
     def __post_init__(self):
@@ -226,8 +226,7 @@ _SAMPLERS = {
     "comonotone": lambda model, grid, n, seed: sample_comonotone(grid, n, seed),
     "fbm": lambda model, grid, n, seed: sample_fbm_copula(grid, model.hurst, n, seed),
     "elliptical": lambda model, grid, n, seed: sample_elliptical_copula(
-        grid, model.hurst,
-        model.mixing if model.mixing is not None else LognormalMixing(), n, seed),
+        grid, model.hurst, model.mixing, n, seed),
     "clayton": lambda model, grid, n, seed: sample_archimedean_clayton(
         grid, model.theta, n, seed),
 }

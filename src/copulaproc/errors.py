@@ -74,20 +74,32 @@ def check_float(value, name: str, lo: float = -math.inf, hi: float = math.inf, *
     raise InvalidArgumentError(f"{name} must be a finite number{span}, got {value!r}")
 
 
+def holds_text_or_bool(values) -> bool:
+    """Whether ``values`` is, or as an array, list or tuple holds, a string,
+    bytes or a bool, which numpy would read as floats: one dtype test for
+    an array, one test per entry of a list or tuple."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "USb"
+    if isinstance(values, (list, tuple)):
+        return any(map(holds_text_or_bool, values))
+    return isinstance(values, (str, bytes, bool, np.bool_))
+
+
 def check_array(values, name: str, lo: float = -math.inf, hi: float = math.inf, *,
                 lo_open: bool = False, hi_open: bool = False) -> np.ndarray:
     """Return ``values`` as a float64 array, not copied if it is one, if
     every entry is a finite number within the bounds, as ``check_float``
     reads them; an empty array passes.  Raise ``InvalidArgumentError``
     naming ``name`` and the least or greatest entry, whichever is refused,
-    otherwise, or naming the input when numpy cannot read it as floats.
-    Bounds cost one ``min`` and one ``max``, through which a NaN
-    propagates; no bounds, one ``np.isfinite`` pass."""
+    otherwise, or naming the input when it holds text or bools or numpy
+    cannot read it as floats.  Bounds cost one ``min`` and one ``max``,
+    through which a NaN propagates; no bounds, one ``np.isfinite`` pass."""
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidArgumentError(
-            f"{name} must hold numbers, got {reprlib.repr(values)}") from None
+        arr = None
+    if arr is None or holds_text_or_bool(values):
+        raise InvalidArgumentError(f"{name} must hold numbers, got {reprlib.repr(values)}")
     if arr.size and not (lo == -math.inf and hi == math.inf and np.isfinite(arr).all()):
         for entry in (float(arr.min()), float(arr.max())):
             check_float(entry, f"every entry of {name}", lo, hi,

@@ -26,7 +26,7 @@ from scipy.special import ndtr, ndtri, roots_legendre
 
 from ._parallel import share, threads_for
 from .errors import (InvalidArgumentError, UnsupportedOperationError, check_array,
-                     check_float, check_int)
+                     check_float, check_int, holds_text_or_bool)
 from .grid import TimeGrid, grid_from_points
 from .serialize import write_matrix_csv
 
@@ -57,11 +57,11 @@ def _as_time_fn(value, name: str, **bounds):
 
 
 def _points(x, name: str) -> np.ndarray:
-    """Evaluation points as floats: +-inf are points (F_t(inf) = 1), NaN
-    and what numpy cannot read as floats are refused."""
+    """Evaluation points as floats: +-inf are points (F_t(inf) = 1), NaN,
+    strings, bools and what numpy cannot read as floats are refused."""
     try:
         arr = np.asarray(x, dtype=float)
-        if not np.isnan(arr).any():
+        if not (np.isnan(arr).any() or holds_text_or_bool(x)):
             return arr
     except (TypeError, ValueError, OverflowError):
         pass
@@ -469,7 +469,8 @@ class ScaleMixtureGaussian(MarginalFamily):
     has_density = True
     is_continuous = True
 
-    def __init__(self, mixing: LognormalMixing, scale=1.0, n_quad: int = 64):
+    def __init__(self, mixing: LognormalMixing = LognormalMixing(), scale=1.0,
+                 n_quad: int = 64):
         super().__init__()
         self.n_quad = check_int(n_quad, "n_quad", 2)
         if not (np.isfinite(mixing.mean_inverse) and np.isfinite(mixing.mean_square)):

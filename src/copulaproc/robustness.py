@@ -441,7 +441,7 @@ class ExperimentConfig:
     n_paths: int = 50_000
     seed: int = 20_240
     hurst: float = 0.5
-    mixing: LognormalMixing = LognormalMixing(0.0, 0.5)
+    mixing: LognormalMixing = LognormalMixing()
     x_min: float = 1.0
     alpha: float = 4.0
     gamma: float = 1.0

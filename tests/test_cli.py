@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import glob
 import hashlib
 import json
@@ -9,9 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from copulaproc import (ExponentialScale, GaussianScale, LognormalMixing, Pareto,
-                        ScaleMixtureGaussian, Uniform, make_uniform_grid, merge,
-                        sample_comonotone)
+from copulaproc import (CopulaModel, ExperimentConfig, ExponentialScale, GaussianScale,
+                        LognormalMixing, Pareto, ScaleMixtureGaussian, Uniform,
+                        make_uniform_grid, merge, sample_comonotone,
+                        sample_elliptical_copula)
+from copulaproc import cli
 from copulaproc.cli import main
 from copulaproc.marginals import FAMILY_KINDS
 
@@ -278,6 +281,10 @@ def test_family_config_errors_exit_2(tmp_path, capsys, section, named):
      "family.sigma"),
     ("simulate", dict(SIMULATE_CFG, grid={"a": 0.0, "b": 1.0, "m": 1}),
      "config key grid.m must be an integer >= 2, got 1"),
+    ("check", {"mode": "assumption", "grid": {"a": 1.0, "b": 2.0, "m": 3},
+               "family": {"kind": "pareto", "x_min": 1.0, "alpha": 3.0},
+               "params": {"x0": "abc"}},
+     "config key params.x0 must be a number, got 'abc'"),
 ])
 def test_non_numeric_config_value_exits_2(tmp_path, capsys, command, cfg, named):
     rc, _ = _run(tmp_path, command, cfg)
@@ -293,6 +300,53 @@ def test_non_finite_model_value_exits_2(tmp_path, capsys, model, named):
     rc, _ = _run(tmp_path, "simulate", dict(SIMULATE_CFG, model=model))
     assert rc == 2
     assert named in capsys.readouterr().err
+
+
+def test_elliptical_sections_without_mixing_use_the_default_lognormal(tmp_path):
+    cfg = {
+        "grid": {"a": 0.5, "b": 1.5, "m": 3},
+        "model": {"variant": "elliptical", "hurst": 0.4},
+        "family": {"kind": "scale_mixture_gaussian"},
+        "n_paths": 16,
+        "seed": 3,
+    }
+    rc, outdir = _run(tmp_path, "simulate", cfg)
+    assert rc == 0
+    mixing = LognormalMixing(0.0, 0.5)
+    copula = sample_elliptical_copula(make_uniform_grid(0.5, 1.5, 3), 0.4, mixing, 16, 3)
+    written = np.loadtxt(outdir / "ensemble.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(written, merge(copula, ScaleMixtureGaussian(mixing)).paths)
+    assert _read_json(outdir / "manifest.json")["model"] == copula.model_tag
+    # LognormalMixing states the default; the objects the sections build take it
+    assert (CopulaModel("elliptical", hurst=0.4).mixing == ScaleMixtureGaussian().mixing
+            == ExperimentConfig().mixing == mixing)
+
+
+def test_robustness_config_reaches_the_experiment_as_its_config(tmp_path, monkeypatch):
+    cfg = {
+        "a": 0.5, "b": 1.5, "m": 9, "n_paths": 10, "seed": 3, "hurst": 0.3,
+        "mixing": {"mu": 0.1, "sigma": 0.2}, "x_min": 2.0, "alpha": 5.0, "gamma": 0.5,
+        "n_keep": [1, 3], "marginal_mode": "empirical", "p": 2, "epsilon": 0.5,
+        "q": 3.0, "beta": 0.5,
+    }
+    want = ExperimentConfig(**dict(cfg, mixing=LognormalMixing(0.1, 0.2), n_keep=(1, 3)))
+    # every field is set, and to a value other than its default
+    default = ExperimentConfig()
+    assert sorted(cfg) == sorted(field.name for field in dataclasses.fields(ExperimentConfig))
+    assert all(getattr(want, key) != getattr(default, key) for key in cfg)
+    seen = []
+
+    class Reached(Exception):
+        pass
+
+    def experiment(config):
+        seen.append(config)
+        raise Reached
+
+    monkeypatch.setattr(cli, "pareto_elliptical_experiment", experiment)
+    with pytest.raises(Reached):
+        _run(tmp_path, "robustness", cfg)
+    assert seen == [want]
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -100,9 +100,16 @@ def test_check_array_returns_a_float64_array_as_is():
     ([None, 1.0], {}, "every entry of x must be a finite number, got nan"),
     (1 + 2j, {}, "x must hold numbers, got (1+2j)"),
     ([10**400], {}, "x must hold numbers, got [100000000000000000...0000000000000000000]"),
+    (["0.5"], {}, "x must hold numbers, got ['0.5']"),
+    (np.array([b"1"]), {}, "x must hold numbers, got array([b'1'], dtype='|S1')"),
+    ([True, 2], {}, "x must hold numbers, got [True, 2]"),
+    ([[0.5], [np.True_]], {}, "x must hold numbers, got [[0.5], [np.True_]]"),
+    (np.array([True, False]), {}, "x must hold numbers, got array([ True, False])"),
+    (False, {}, "x must hold numbers, got False"),
 ], ids=["nan_bounded", "nan", "inf", "minus_inf", "inf_half_bounded", "below",
         "above", "lo_open", "hi_open", "scalar", "string", "string_list", "string_array",
-        "ragged", "none", "complex", "int_overflow"])
+        "ragged", "none", "complex", "int_overflow", "numeric_string_list", "bytes_array",
+        "bool_in_int_list", "nested_numpy_bool", "bool_array", "bool_scalar"])
 def test_check_array_names_the_argument_the_entry_and_the_range(values, bounds, message):
     with pytest.raises(InvalidArgumentError) as info:
         check_array(values, "x", **bounds)
@@ -158,8 +165,9 @@ _EMPIRICAL = Empirical(_GRID, np.arange(12.0).reshape(3, 4))
 
 
 #: array arguments that used to pass a NaN through as a value (NaN, 0.0 or
-#: 1.0 from distributional_transform) or to raise numpy's bare ValueError
-#: on a string, and the message each must start with
+#: 1.0 from distributional_transform), to raise numpy's bare ValueError on
+#: a string or to read a numeric string or a bool as a number, and the
+#: message each must start with
 @pytest.mark.parametrize("call, message", [
     (lambda: GaussianScale(1.0).distributional_transform(1.0, math.nan, 0.5),
      "distributional_transform x argument must hold numbers other than NaN"),
@@ -175,9 +183,17 @@ _EMPIRICAL = Empirical(_GRID, np.arange(12.0).reshape(3, 4))
     (lambda: wasserstein1d_empirical(["a"], [1.0], 1), "samples_a must hold numbers, got "),
     (lambda: wasserstein1d_empirical([1.0], [math.nan], 1),
      "every entry of samples_b must be a finite number, got nan"),
+    (lambda: GaussianScale(1.0).quantile(0.0, ["0.5"]), "u must hold numbers, got "),
+    (lambda: GaussianScale(1.0).cdf(0.0, ["0.5"]),
+     "cdf argument must hold numbers other than NaN"),
+    (lambda: GaussianScale(1.0).pdf(0.0, [True, 2.0]),
+     "pdf argument must hold numbers other than NaN"),
+    (lambda: Empirical(make_uniform_grid(1.0, 2.0, 2), [["1", "2"], ["3", "4"]]),
+     "samples must hold numbers, got "),
 ], ids=["gaussian_transform_nan", "pareto_transform_nan", "empirical_transform_nan",
         "empirical_transform_str", "pareto_cdf_str", "quantile_str", "process_str",
-        "wasserstein_str", "wasserstein_nan"])
+        "wasserstein_str", "wasserstein_nan", "quantile_numeric_str", "cdf_numeric_str",
+        "pdf_bool", "empirical_numeric_str"])
 def test_library_refuses_bad_arrays(call, message):
     with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}"):
         call()

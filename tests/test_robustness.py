@@ -440,12 +440,12 @@ def test_experiment_holds_at_most_six_ensembles():
     assert peak <= 6, peak
 
 
-def test_experiment_in_empirical_mode_holds_at_most_nine_ensembles():
-    # the empirical family of Y adds one matrix: 7.0 alone on one CPU, and
-    # 8.2 while the step-quantile nodes of its marginal term stayed cached
-    # after their loop
+def test_experiment_in_empirical_mode_holds_at_most_eight_ensembles():
+    # the empirical family of Y adds one matrix: 7.0 in file order on two
+    # CPUs and on one; it read 8.2 while the step-quantile nodes of its
+    # marginal term stayed cached after their loop
     peak = _experiment_peak(4_000, 33, "empirical")
-    assert peak <= 9, peak
+    assert peak <= 8, peak
 
 
 @pytest.mark.parametrize("mode", ["true", "empirical"])
