@@ -208,6 +208,9 @@ class CopulaModel:
                 f"unknown copula variant {self.variant!r}; expected one of {tuple(_SAMPLERS)}")
         if self.variant in ("fbm", "elliptical"):
             _check_hurst(self.hurst)  # None included: both variants need it
+        if not isinstance(self.mixing, LognormalMixing):
+            raise InvalidArgumentError(
+                f"mixing must be a LognormalMixing, got {self.mixing!r}")
         if self.theta is not None or self.variant == "clayton":
             check_float(self.theta, "theta", 0.0, lo_open=True)
         if self.t0 is not None:

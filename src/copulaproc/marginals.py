@@ -473,6 +473,8 @@ class ScaleMixtureGaussian(MarginalFamily):
                  n_quad: int = 64):
         super().__init__()
         self.n_quad = check_int(n_quad, "n_quad", 2)
+        if not isinstance(mixing, LognormalMixing):
+            raise InvalidArgumentError(f"mixing must be a LognormalMixing, got {mixing!r}")
         if not (np.isfinite(mixing.mean_inverse) and np.isfinite(mixing.mean_square)):
             raise InvalidArgumentError(
                 "mixing must have finite E[1/S] and E[S**2]")

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from copulaproc import (CopulaModel, InvalidArgumentError, LognormalMixing,
-                        NumericFailureError, cholesky_with_jitter,
+                        NumericFailureError, ScaleMixtureGaussian,
+                        cholesky_with_jitter,
                         empirical_copula_cdf, fbm_covariance,
                         make_uniform_grid, sample_archimedean_clayton,
                         sample_comonotone, sample_elliptical_copula,
@@ -225,6 +226,22 @@ def test_copula_model_dispatch_and_validation():
             CopulaModel(**bad)
     with pytest.raises(InvalidArgumentError):
         model.sample(make_uniform_grid(0.5, 1.5, 3), 5, seed=1)  # starts before t0
+
+
+#: a mixing other than a LognormalMixing used to raise a bare AttributeError
+#: (the family, and the elliptical sampler when it built one) or to pass
+#: unchecked (every other variant)
+@pytest.mark.parametrize("call", [
+    lambda: ScaleMixtureGaussian(None),
+    lambda: CopulaModel("elliptical", hurst=0.5, mixing="x").sample(GRID, 2, 1),
+    lambda: CopulaModel("fbm", hurst=0.5, mixing="x"),
+    lambda: CopulaModel("independence", mixing=None),
+    lambda: CopulaModel("comonotone", mixing=0.5),
+    lambda: CopulaModel("clayton", theta=1.0, mixing="x"),
+], ids=["family", "elliptical", "fbm", "independence", "comonotone", "clayton"])
+def test_mixing_must_be_a_lognormal_mixing(call):
+    with pytest.raises(InvalidArgumentError, match=r"^mixing must be a LognormalMixing, got "):
+        call()
 
 
 def test_ensemble_validation():

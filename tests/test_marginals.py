@@ -207,16 +207,27 @@ def test_empirical_distributional_transform_sorts_once(monkeypatch):
     assert np.array_equal(out, left + v * (right - left))
 
 
+def _every_text_layout(rng):
+    """Negative values, 0.000ddd, d.ddde-XX and e+XX forms, integers, >= 1e16."""
+    return np.concatenate([
+        -rng.exponential(size=(3, 5)), rng.uniform(1e-4, 1e-3, (3, 5)),
+        rng.uniform(0.0, 1e-4, (3, 5)), -rng.uniform(0.0, 1e-12, (3, 5)),
+        rng.integers(-10**6, 10**6, (3, 5)).astype(float),
+        1e16 * (1.0 + 9.0 * rng.uniform(size=(3, 5))), 1e17 * rng.uniform(1.0, 1e3, (3, 5)),
+        rng.standard_normal((3, 5)) * 10.0 ** rng.integers(-12, 19, (3, 5))], axis=1)
+
+
 def test_empirical_csv_roundtrip_exact(tmp_path):
     g = make_uniform_grid(0.25, 0.75, 3)
     rng = np.random.default_rng(5)
-    fam = Empirical(g, rng.standard_normal((3, 40)))
-    path = tmp_path / "emp.csv"
-    empirical_family_to_csv(fam, path)
-    back = empirical_family_from_csv(path)
-    assert back.grid == fam.grid
-    for t in g.points:
-        assert np.array_equal(back.column(t), fam.column(t))
+    for draw in (rng.standard_normal((3, 40)), _every_text_layout(rng)):
+        fam = Empirical(g, draw)
+        path = tmp_path / "emp.csv"
+        empirical_family_to_csv(fam, path)
+        back = empirical_family_from_csv(path)
+        assert back.grid == fam.grid
+        for t in g.points:
+            assert np.array_equal(back.column(t), fam.column(t))
 
 
 def test_distributional_transform_atomic_uniformity():

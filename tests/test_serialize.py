@@ -50,3 +50,34 @@ def test_matrix_csv_shape_mismatch_raises(tmp_path):
         write_matrix_csv(tmp_path / "bad.csv", [0.0, 1.0, 2.0], np.zeros((4, 2)))
     with pytest.raises(InvalidArgumentError):
         write_matrix_csv(tmp_path / "bad.csv", [0.0, 1.0], np.zeros(2))
+
+
+def _exact_window_values():
+    """Values in and around the exact window 1e-10 <= |x| < 1e17, both signs."""
+    rng = np.random.default_rng(24)
+    powers = 10.0 ** np.arange(-12, 19)
+    ties = [k / 2.0 ** j for j in range(0, 60, 3) for k in (1, 3, 5, 7, 99, 12345)]
+    short = [round(x, d) for x in rng.uniform(-1e5, 1e5, 100) for d in range(12)]
+    # the doubles whose 17 digits round up into the next decade lie outside
+    # the window; the largest double below each power of ten lies inside
+    carries = [1e-14, 1e-79, 1e98, 1e153]
+    integers = np.concatenate([np.arange(-64, 64, 2.0) + 1e16, np.arange(-512, 512, 16.0) + 1e17])
+    # fixed point with and without a fraction, 0.000ddd, d.ddde-XX
+    layouts = [1234.5, 1200.0, 99999999999999984.0, 0.5, 0.1, 0.00012, 0.000123456789,
+               1.5e-5, 1e-5, 3e-10, 1e-10, 7.25, 2.0 ** 52 + 1]
+    values = np.concatenate([
+        10.0 ** rng.uniform(-12, 18, 4000),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        ties, short, carries, integers, layouts])
+    values = np.concatenate([values, -values])
+    return values[rng.permutation(values.size)]
+
+
+#: m = 1 and m = 7 on both sides of their block boundaries (8192 and 1170
+#: rows of 2**13 cells), a few rows, and rows longer than one block
+@pytest.mark.parametrize("n_rows, m", [(1, 1), (5, 3), (8191, 1), (8193, 1),
+                                       (1170, 7), (1171, 7), (2, 40000)])
+def test_matrix_csv_matches_format_float_bytes_in_the_exact_window(tmp_path, n_rows, m):
+    times = np.linspace(0.5, 1.5, m)
+    matrix = np.resize(_exact_window_values(), (n_rows, m))
+    _assert_matches_reference(tmp_path / "window.csv", times, matrix)
