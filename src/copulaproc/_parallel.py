@@ -5,17 +5,14 @@ item.  The calling thread and the workers of an executor that ends with
 the call each take the next item until none is left, so a thread whose
 CPU is slowed by other work takes fewer items; ``k`` names the thread,
 from 0 (the caller) to ``n_threads - 1``, so work can own a per-thread
-buffer.  While the call lasts, each thread is bound to its own CPU of the
-mask and the caller's mask is then restored: unbound, Linux wakes a thread
-that waited for the GIL on the CPU of the thread that released it, so the
-threads kept sharing one CPU and the split cost time.  A worker's
-exception is raised again in the caller once every thread has stopped.
+buffer.  A worker's exception is raised again in the caller once every
+thread has stopped.
 
-Shared work does not share again: inside it ``threads_for`` gives 1 on
-every platform (a bound thread also sees one usable CPU), so a nested
-call runs inline and starts no threads.  The thread count follows the
-affinity mask alone; ``taskset`` is the one control.  ``work`` may run on
-several threads at once and must touch nothing but what its item owns.
+Shared work does not share again: inside it ``threads_for`` gives 1, so a
+nested call runs inline and starts no threads.  The thread count follows
+the affinity mask alone; ``taskset`` is the one control.  ``work`` may
+run on several threads at once and must touch nothing but what its item
+owns.
 """
 
 from __future__ import annotations
@@ -23,9 +20,6 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-
-#: whether a thread can bind itself to one CPU (Linux)
-CAN_BIND = hasattr(os, "sched_setaffinity")
 
 #: ``inside`` is set while a thread runs shared work
 _local = threading.local()
@@ -51,20 +45,16 @@ def share(items, work, n_threads: int) -> None:
     """Call ``work(k, item)`` for every item on ``n_threads`` threads.
 
     Callers take ``n_threads`` from ``threads_for`` and size any per-thread
-    buffers by it.  With one thread the items run inline, in order, on the
-    caller's mask.
+    buffers by it.  With one thread the items run inline, in order.
     """
     if n_threads <= 1:
         for item in items:
             work(0, item)
         return
-    mask = sorted(os.sched_getaffinity(0)) if CAN_BIND else []
     pending = iter(items)
     taking = threading.Lock()
 
     def run(k):
-        if mask:
-            os.sched_setaffinity(0, {mask[k % len(mask)]})
         _local.inside = True
         try:
             while True:
@@ -76,12 +66,8 @@ def share(items, work, n_threads: int) -> None:
         finally:
             _local.inside = False
 
-    try:
-        with ThreadPoolExecutor(n_threads - 1) as pool:
-            workers = [pool.submit(run, k) for k in range(1, n_threads)]
-            run(0)
-    finally:
-        if mask:
-            os.sched_setaffinity(0, mask)
+    with ThreadPoolExecutor(n_threads - 1) as pool:
+        workers = [pool.submit(run, k) for k in range(1, n_threads)]
+        run(0)
     for worker in workers:
         worker.result()

@@ -21,6 +21,7 @@ reproduced bit for bit regardless of ensemble size or scheduling.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,7 +185,11 @@ def sample_archimedean_clayton(grid: TimeGrid, theta: float, n_paths: int,
 
 def empirical_copula_cdf(ensemble: CopulaEnsemble, time_indices, point) -> float:
     """Fraction of paths lying at or below ``point`` at the given columns."""
-    idx = check_array(time_indices, "time_indices", 0, ensemble.grid.m - 1).astype(int)
+    idx = check_array(time_indices, "time_indices", 0, ensemble.grid.m - 1)
+    if np.any(idx != np.trunc(idx)):
+        raise InvalidArgumentError(
+            f"time_indices must hold integers, got {reprlib.repr(time_indices)}")
+    idx = idx.astype(int)
     pt = check_array(point, "point", 0.0, 1.0)
     if idx.ndim != 1 or idx.size < 1 or pt.shape != idx.shape:
         raise InvalidArgumentError("time_indices and point must be 1-d of equal length")

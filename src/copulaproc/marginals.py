@@ -500,9 +500,9 @@ class ScaleMixtureGaussian(MarginalFamily):
         alone.  Every row keeps the value of one block per 65536 rows.
 
         The blocks are shared out through ``_parallel.share``, among one
-        CPU-bound thread per CPU in the affinity mask, at most one per
-        block; inside shared work, such as a column group of ``merge``,
-        the call runs inline.  Each thread owns a buffer of at most 2049
+        thread per CPU in the affinity mask, at most one per block; inside
+        shared work, such as a column group of ``merge``, the call runs
+        inline.  Each thread owns a buffer of at most 2049
         rows, which ``func`` overwrites and returns; the buffers are one
         array, since two separate 1 MB arrays freed together can be trimmed
         from the heap and page-faulted anew at the next call.  A row's
@@ -697,14 +697,15 @@ def empirical_family_to_csv(family: Empirical, path) -> None:
 def empirical_family_from_csv(path) -> Empirical:
     """Inverse of ``empirical_family_to_csv``; grid weights are trapezoid."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 2:
+        rows = [ln.strip().split(",") for ln in fh if ln.strip()]
+    if len(rows) < 2:
         raise InvalidArgumentError(f"{path}: need a header row and at least one sample row")
-    times = np.array([float(v) for v in lines[0].split(",")])
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if rows.shape[1] != times.size:
+    if any(len(row) != len(rows[0]) for row in rows):
         raise InvalidArgumentError(f"{path}: inconsistent column count")
-    return Empirical(grid_from_points(times), rows.T)
+    # as objects, the text cells reach numpy's float parse, which
+    # check_array refuses to apply to a str array
+    table = check_array(np.array(rows, dtype=object), f"cells of {path}")
+    return Empirical(grid_from_points(table[0]), table[1:].T)
 
 
 #: config ``kind`` tag -> family class, for every family a config can build

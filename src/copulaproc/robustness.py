@@ -471,8 +471,11 @@ class ExperimentConfig:
         rng.check_seed(self.seed)
         rho(check_int(self.p, "p", 1, MAX_P), self.epsilon, self.q, self.beta)
         # checked here, not by ``truncate`` after the mixture extraction
-        if len(self.n_keep) < 1:
-            raise InvalidArgumentError("n_keep must be a nonempty list of integers")
+        listed = isinstance(self.n_keep, (tuple, list)) or (
+            isinstance(self.n_keep, np.ndarray) and self.n_keep.ndim == 1)
+        if not listed or len(self.n_keep) < 1:
+            raise InvalidArgumentError(
+                f"n_keep must be a nonempty list of integers, got {self.n_keep!r}")
         for k in self.n_keep:
             check_int(k, "n_keep", 1, m)
 

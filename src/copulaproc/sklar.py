@@ -66,9 +66,9 @@ def _columnwise(points, fn, out, *arrays) -> np.ndarray:
     """Column j of ``out`` becomes fn(points[j], arrays[0][:, j], ...).
 
     From 4096 rows on, the columns go in groups shared through
-    ``_parallel.share`` among one CPU-bound thread per CPU, at most 8
-    columns in flight in all: 8 per group on one CPU, 4 on two, 1 from
-    eight CPUs on; fewer rows run in groups of 8 on the caller.  A thread
+    ``_parallel.share`` among one thread per CPU, at most 8 columns in
+    flight in all: 8 per group on one CPU, 4 on two, 1 from eight CPUs
+    on; fewer rows run in groups of 8 on the caller.  A thread
     copies its group's columns into contiguous rows, so each paths row is
     read once per group rather than once per column, calls fn once per
     column on a contiguous copy of it and writes the values straight into

@@ -208,6 +208,16 @@ def test_empirical_copula_cdf_validation():
         empirical_copula_cdf(ens, [0, 1], [0.5, 1.5])
 
 
+@pytest.mark.parametrize("indices", [[1.5], [0.999], [0, 2.5], np.array([1.0, 3.25])])
+def test_empirical_copula_cdf_refuses_fractional_time_indices(indices):
+    # truncated, 1.5 read column 1 and 0.999 column 0
+    ens = sample_independence(GRID, 100, seed=1)
+    with pytest.raises(InvalidArgumentError, match="time_indices must hold integers"):
+        empirical_copula_cdf(ens, indices, [0.5] * len(indices))
+    assert empirical_copula_cdf(ens, [1.0, 3.0], [0.5, 0.5]) == \
+        empirical_copula_cdf(ens, [1, 3], [0.5, 0.5])
+
+
 def test_copula_model_dispatch_and_validation():
     model = CopulaModel(variant="fbm", hurst=0.5, t0=1.0)
     ens = model.sample(GRID, 10, seed=2)

@@ -350,13 +350,17 @@ def test_experiment_config_validation():
         ExperimentConfig(gamma=-1.0)
 
 
-@pytest.mark.parametrize("n_keep", [(1, 2, 100), (2.7,), (1, 2.0), (True,), (0, 3)])
+@pytest.mark.parametrize("n_keep", [(1, 2, 100), (2.7,), (1, 2.0), (True,), (0, 3),
+                                    5, None, np.int64(5), np.array(5)])
 def test_experiment_config_rejects_bad_n_keep_up_front(n_keep):
     # an entry above m used to fail in truncate after the mixture
-    # extraction, and a float entry ran truncated by int()
+    # extraction, and a float entry ran truncated by int(); a bare integer
+    # or None raised a TypeError from len()
     with pytest.raises(InvalidArgumentError, match="n_keep"):
         ExperimentConfig(m=65, n_keep=n_keep)
     assert ExperimentConfig(m=9, n_keep=(1, np.int64(9))).n_keep[1] == 9
+    assert ExperimentConfig(m=9, n_keep=[1, 9]).n_keep[1] == 9
+    assert ExperimentConfig(m=9, n_keep=np.array([1, 9])).n_keep[1] == 9
 
 
 @pytest.mark.parametrize("field, value", [

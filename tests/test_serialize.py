@@ -22,12 +22,18 @@ def _assert_matches_reference(path, times, matrix):
     assert path.read_bytes() == _reference_bytes(times, matrix)
 
 
-# one and two rows, both sides of one 1024-row block, and one past two blocks
-@pytest.mark.parametrize("n_rows", [1, 2, 1023, 1024, 1025, 2049])
+# one and two rows, both sides of one 1170-row block (2**13 // 7 rows at
+# m = 7), and one past two blocks
+@pytest.mark.parametrize("n_rows", [1, 2, 1169, 1170, 1171, 2341])
 def test_matrix_csv_matches_format_float_bytes(tmp_path, n_rows):
     rng = np.random.default_rng(n_rows)
     times = np.linspace(0.5, 1.5, 7)
-    matrix = rng.standard_normal((n_rows, 7)) * 10.0 ** rng.integers(-300, 300, (n_rows, 7))
+    # a checkerboard of decimal exponents: in [-12, 18], where the exact
+    # integer path writes most cells, and in [-300, 299], where %.17g does
+    window = np.add.outer(np.arange(n_rows), np.arange(7)) % 2 == 0
+    exponents = np.where(window, rng.integers(-12, 19, (n_rows, 7)),
+                         rng.integers(-300, 300, (n_rows, 7)))
+    matrix = rng.standard_normal((n_rows, 7)) * 10.0 ** exponents
     matrix[n_rows // 2, 3] = np.nan
     _assert_matches_reference(tmp_path / "m.csv", times, matrix)
 

@@ -118,8 +118,20 @@ def test_column_groups_match_the_loop_for_any_cpu_count(
         assert np.array_equal(back.paths, want_back), family.kind
 
 
-def _affinity():
-    return os.sched_getaffinity(0) if _parallel.CAN_BIND else None
+def test_shared_work_writes_no_thread_affinity(monkeypatch, started_threads):
+    # the scheduler places the threads; neither the caller's mask nor a
+    # worker's is ever set
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda *args: calls.append(args), raising=False)
+    cop = sample_fbm_copula(make_uniform_grid(1.0, 2.0, 9), 0.5, 4096, seed=2)
+    merge(cop, GaussianScale(1.5))
+    family = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
+    family.cdf(0.0, np.zeros(4 * 2048))
+    # one executor worker beside the caller in each call
+    assert len(started_threads) == 2
+    assert calls == []
 
 
 def test_column_group_error_in_a_worker_reaches_the_caller(monkeypatch):
@@ -140,12 +152,10 @@ def test_column_group_error_in_a_worker_reaches_the_caller(monkeypatch):
 
     cop = sample_fbm_copula(make_uniform_grid(1.0, 2.0, 17), 0.5, 4096, seed=1)
     running = threading.active_count()
-    mask = _affinity()
     with pytest.raises(LookupError, match="raised in a worker") as info:
         merge(cop, GaussianScale(sigma))
     assert any(info.value is exc for exc in raised)
     assert threading.active_count() == running
-    assert _affinity() == mask
 
 
 @pytest.mark.parametrize("rows, threads", [(4095, 0), (4096, 1)])
