@@ -25,8 +25,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
 from ._parallel import share, threads_for
-from .errors import (InvalidArgumentError, UnsupportedOperationError, check_array,
-                     check_float, check_int, holds_text_or_bool)
+from .errors import (InvalidArgumentError, NumericFailureError, UnsupportedOperationError,
+                     check_array, check_float, check_int, holds_text_or_bool)
 from .grid import TimeGrid, grid_from_points
 from .serialize import write_matrix_csv
 
@@ -454,14 +454,22 @@ class LognormalMixing:
         return f"lognormal(mu={self.mu:g},sigma={self.sigma:g})"
 
 
+def _normal_cdf(block):
+    return ndtr(block, out=block)
+
+
 class ScaleMixtureGaussian(MarginalFamily):
     """Marginal of S * Z with Z standard normal and S an independent scale.
 
     The CDF is the mixture integral int Phi(z / s) dF_S(s), evaluated with
     fixed Gauss-Legendre nodes over the mixing quantile function so every
-    call is deterministic.  The quantile inverts the mixture CDF by a
-    table-seeded Newton iteration.  An optional per-time scale c_t gives
-    the law of c_t * S * Z.
+    call is deterministic.  The quantile inverts that CDF: a cubic Hermite
+    interpolation of z against log F0 on a table of the lower half starts
+    it, and Newton steps finish it, each one pass for F0 and its density
+    over the entries still moving.  Mixings that spread the scales so far
+    that four steps leave an entry moving (sigma about 2.5 or more) raise
+    ``NumericFailureError``.  An optional per-time scale c_t gives the law
+    of c_t * S * Z.
     """
 
     kind = "scale_mixture_gaussian"
@@ -490,8 +498,8 @@ class ScaleMixtureGaussian(MarginalFamily):
         self._table_lock = threading.Lock()
 
     # ----- unit-scale mixture functions ---------------------------------
-    def _f0_block(self, z, func) -> np.ndarray:
-        """Mixture average of func(z / s) over the quadrature scales s.
+    def _f0_block(self, z, *funcs) -> list:
+        """Mixture averages of each func(z / s) over the quadrature scales s.
 
         Rows go in blocks of 2048 inside each run of 65536.  numpy sends a
         one-row product to its dot kernel, which sums in another order than
@@ -502,17 +510,20 @@ class ScaleMixtureGaussian(MarginalFamily):
         The blocks are shared out through ``_parallel.share``, among one
         thread per CPU in the affinity mask, at most one per block; inside
         shared work, such as a column group of ``merge``, the call runs
-        inline.  Each thread owns a buffer of at most 2049
-        rows, which ``func`` overwrites and returns; the buffers are one
-        array, since two separate 1 MB arrays freed together can be trimmed
-        from the heap and page-faulted anew at the next call.  A row's
-        value depends only on its block, so it is the same for any CPU
-        count and any sharing of the blocks.  ``func`` runs in the worker
-        threads and must touch nothing but its block.
+        inline.  Each thread owns a buffer of at most 2049 rows, which
+        each ``func`` in turn overwrites and returns, after the block
+        z / s is written into it afresh: several funcs make one pass over
+        the blocks, and each of their values is the one a pass of its own
+        gives.  The buffers are one array, since two separate 1 MB arrays
+        freed together can be trimmed from the heap and page-faulted anew
+        at the next call.  A row's value depends only on its block, so it
+        is the same for any CPU count and any sharing of the blocks.
+        ``func`` runs in the worker threads and must touch nothing but its
+        block.  Returns one array of z's shape per func.
         """
         z = np.asarray(z, dtype=float)
         flat = z.ravel()
-        out = np.empty_like(flat)
+        outs = [np.empty_like(flat) for _ in funcs]
         blocks = []
         for top in range(0, flat.size, 65536):
             stop = min(top + 65536, flat.size)
@@ -524,51 +535,91 @@ class ScaleMixtureGaussian(MarginalFamily):
         def run(k, rows):
             start, end = rows
             block = buffers[k][:end - start]
-            np.divide(flat[start:end, None], self._mix_s[None, :], out=block)
-            np.matmul(func(block), self._mix_w, out=out[start:end])
+            for func, out in zip(funcs, outs):
+                np.divide(flat[start:end, None], self._mix_s[None, :], out=block)
+                np.matmul(func(block), self._mix_w, out=out[start:end])
 
         share(blocks, run, n_threads)
-        return out.reshape(z.shape)
+        return [out.reshape(z.shape) for out in outs]
+
+    def _density(self, block):
+        # exp(-0.5 * b * b) / (sqrt(2 pi) s) in place.  -0.5 * b is exact,
+        # so -0.5 * (b * b) rounds as (-0.5 * b) * b does, except below the
+        # normal range or past overflow, where exp gives 1 or 0 either way
+        np.multiply(block, block, out=block)
+        block *= -0.5
+        np.exp(block, out=block)
+        block /= _SQRT_2PI * self._mix_s
+        return block
 
     def _cdf0(self, z: np.ndarray) -> np.ndarray:
-        return self._f0_block(z, lambda block: ndtr(block, out=block))
+        return self._f0_block(z, _normal_cdf)[0]
 
     def _pdf0(self, z: np.ndarray) -> np.ndarray:
-        def density(block):
-            # exp(-0.5 * b * b) / (sqrt(2 pi) s) in place.  -0.5 * b is
-            # exact, so -0.5 * (b * b) rounds as (-0.5 * b) * b does, except
-            # below the normal range or past overflow, where exp gives 1 or 0
-            # either way
-            np.multiply(block, block, out=block)
-            block *= -0.5
-            np.exp(block, out=block)
-            block /= _SQRT_2PI * self._mix_s
-            return block
+        return self._f0_block(z, self._density)[0]
 
-        return self._f0_block(z, density)
+    def _cdf0_pdf0(self, z: np.ndarray):
+        """(F0(z), f0(z)) from one pass, each bit for bit ``_cdf0``'s and
+        ``_pdf0``'s value."""
+        return self._f0_block(z, _normal_cdf, self._density)
 
     def _quantile_table(self):
+        """The lower half of the unit law on 8193 nodes z from -z_max to 0:
+        z, F0(z), log F0(z) and, on each interval of log F0, the cubic
+        Hermite interpolant of z with the exact slopes dz / dlog F0 = F0 / f0,
+        as coefficients in the interval's own variable a in [0, 1]."""
         # the column groups of a merge ask for it at once; one builds it
         with self._table_lock:
             if self._table is None:
                 z_max = float(self._mix_s.max()) * abs(ndtri(1e-14)) * 1.05
-                zs = np.linspace(-z_max, z_max, 16385)
-                self._table = (zs, self._cdf0(zs))
+                zs = np.linspace(-z_max, 0.0, 8193)
+                cdf, pdf = self._cdf0_pdf0(zs)
+                logs = np.log(cdf)
+                widths = np.diff(logs)
+                slope = cdf / pdf
+                # z's rise over each interval, and at its ends the slopes in a
+                rise, d0, d1 = np.diff(zs), widths * slope[:-1], widths * slope[1:]
+                cubic = (zs[:-1], d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise)
+                self._table = (zs, cdf, logs, widths, cubic)
         return self._table
 
     def _unit_quantile(self, u, cu):
-        zs, Fs = self._quantile_table()
-        z = np.clip(np.interp(u, Fs, zs), zs[0], zs[-1])
-        # F0(z) below the median and 1 - F0(z) = F0(-z) above it, in one
-        # pass: each entry keeps its row, so it gets the value a pass over
-        # all of z, or all of -z, would give it
+        # below the median F0(y) = u, above it F0(y) = cu and z = -y, as
+        # 1 - F0(z) = F0(-z): both branches solve on the lower half
+        zs, _, logs, widths, (c0, c1, c2, c3) = self._quantile_table()
         lower = u <= 0.5
+        v = np.where(lower, u, cu).ravel()
+        # start: the table's cubic in log v; a level below F0(zs[0]) starts
+        # at zs[0], where the clip below keeps it
+        a = np.clip(np.log(v), logs[0], logs[-1])
+        i = np.clip(np.searchsorted(logs, a) - 1, 0, widths.size - 1)
+        a -= logs[i]
+        a /= widths[i]
+        y = ((c3[i] * a + c2[i]) * a + c1[i]) * a + c0[i]
+        del a, i
+        # Newton steps, each one pass over the entries still moving.  An
+        # entry stops once its step is at most 2**-26 (about sqrt(eps)) of
+        # |y|, or of the smallest mixing scale, over which F0 bends near 0:
+        # quadratic convergence then puts the next step below rounding.
+        s_min = self._mix_s.min()
+        todo = np.arange(y.size)
         for _ in range(4):
-            dens = np.maximum(self._pdf0(z), 1e-300)
-            tail = self._cdf0(np.where(lower, z, -z))
-            resid = np.where(lower, tail - u, cu - tail)
-            z = np.clip(z - resid / dens, zs[0], zs[-1])
-        return z
+            y0 = y[todo]
+            tail, dens = self._cdf0_pdf0(y0)
+            tail -= v[todo]
+            tail /= np.maximum(dens, 1e-300, out=dens)
+            y1 = np.clip(y0 - tail, zs[0], -zs[0], out=tail)
+            y[todo] = y1
+            # |step| and the bound it is held to, written over y0 and dens
+            step = np.abs(np.subtract(y1, y0, out=y0), out=y0)
+            bound = np.maximum(np.abs(y1, out=dens), s_min, out=dens)
+            todo = todo[step > 2.0 ** -26 * bound]
+            if todo.size == 0:
+                y = y.reshape(u.shape)
+                return np.where(lower, y, -y)
+        raise NumericFailureError(
+            f"scale-mixture quantile: {todo.size} of {y.size} levels still move "
+            f"after 4 Newton steps for {self.mixing!r}")
 
     # ----- family hooks --------------------------------------------------
     def _cdf(self, t, x):

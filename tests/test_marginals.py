@@ -10,7 +10,7 @@ from scipy import stats
 from scipy.special import ndtr, ndtri
 
 from copulaproc import (Empirical, ExponentialScale, GaussianScale,
-                        InvalidArgumentError, LognormalMixing, Pareto,
+                        InvalidArgumentError, LognormalMixing, NumericFailureError, Pareto,
                         ScaleMixtureGaussian, Uniform,
                         UnsupportedOperationError, empirical_family_from_csv,
                         empirical_family_to_csv, make_uniform_grid, merge,
@@ -348,7 +348,8 @@ def test_scale_mixture_blocks_keep_the_65536_row_values_bitwise(tmp_path):
                    env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     ref = np.load(path)
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=2.0)
-    assert np.array_equal(fam._quantile_table()[1], ref["table"])
+    # the quantile table holds the lower half of those nodes
+    assert np.array_equal(fam._quantile_table()[1], ref["table"][:8193])
     for n in MIXTURE_SIZES:
         x = ref[f"x{n}"]
         assert np.array_equal(fam.cdf(0.0, x), ref[f"cdf{n}"]), n
@@ -433,11 +434,14 @@ def test_scale_mixture_worker_exception_reaches_the_caller(monkeypatch):
 
 
 def _two_pass_newton_quantile(fam, t, u):
-    """The mixture quantile with F0(z) and F0(-z) each taken over every entry."""
+    """The mixture quantile as a reference: a linear interpolation on F0 at
+    16,385 nodes over [-z_max, z_max], then 4 Newton steps on every entry,
+    with F0(z) and F0(-z) each taken over every entry."""
     u = np.asarray(u, dtype=float)
     cu = 1.0 - u
-    zs, Fs = fam._quantile_table()
-    z = np.clip(np.interp(u, Fs, zs), zs[0], zs[-1])
+    z_max = -fam._quantile_table()[0][0]
+    zs = np.linspace(-z_max, z_max, 16385)
+    z = np.clip(np.interp(u, fam._cdf0(zs), zs), zs[0], zs[-1])
     for _ in range(4):
         dens = np.maximum(fam._pdf0(z), 1e-300)
         resid = np.where(u <= 0.5, fam._cdf0(z) - u, cu - fam._cdf0(-z))
@@ -445,36 +449,94 @@ def _two_pass_newton_quantile(fam, t, u):
     return fam.scale(t) * z
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 2049, 5000, 16385, 65537])
+@pytest.mark.parametrize("n", MIXTURE_SIZES)
 def test_scale_mixture_one_pass_residual_matches_two_pass_bitwise(n):
-    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=2.0)
-    rng = np.random.default_rng(n)
-    u = rng.uniform(0.0, 1.0, n)
-    # one entry above the median, then the median, which takes the lower branch
-    u[:2] = [0.8, 0.5][:n]
-    assert np.array_equal(fam.quantile(0.0, u), _two_pass_newton_quantile(fam, 0.0, u))
-    u2 = rng.uniform(0.0, 1.0, (3, 700))
-    assert np.array_equal(fam.quantile(0.0, u2), _two_pass_newton_quantile(fam, 0.0, u2))
-
-
-def test_scale_mixture_newton_step_takes_two_mixture_passes(monkeypatch):
+    # the Newton step's F0 and f0 come from one pass over the blocks, with
+    # the values of a _cdf0 pass and a _pdf0 pass
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
+    z = 8.0 * np.random.default_rng(n).standard_normal(n)
+    cdf, pdf = fam._cdf0_pdf0(z)
+    assert np.array_equal(cdf, fam._cdf0(z))
+    assert np.array_equal(pdf, fam._pdf0(z))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 0.5])
+def test_scale_mixture_newton_step_takes_one_fused_pass(monkeypatch, sigma):
+    fam = ScaleMixtureGaussian(LognormalMixing(0.1, sigma))
     fam._quantile_table()
     calls = []
     block = ScaleMixtureGaussian._f0_block
 
-    def spy(self, z, func):
-        calls.append(np.size(z))
-        return block(self, z, func)
+    def spy(self, z, *funcs):
+        calls.append((np.size(z), len(funcs)))
+        return block(self, z, *funcs)
 
     monkeypatch.setattr(ScaleMixtureGaussian, "_f0_block", spy)
     u = np.random.default_rng(3).uniform(0.0, 1.0, 5000)
     fam.quantile(0.0, u)
-    # four Newton steps, each one density and one CDF pass
-    assert calls == [5000] * 8
-    calls.clear()
-    _two_pass_newton_quantile(fam, 0.0, u)
-    assert len(calls) == 12
+    # the table start is close enough that one Newton step, F0 and f0
+    # from one pass, finishes every entry
+    assert calls == [(5000, 2)]
+
+
+#: u from 1e-18 to 1 - 1e-15 through both tails, and uniform draws
+QUANTILE_SWEEP = np.concatenate([
+    np.logspace(-18.0, np.log10(0.5), 1000), 1.0 - np.logspace(-15.0, np.log10(0.5), 1000),
+    np.random.default_rng(29).uniform(0.0, 1.0, 20000)])
+
+
+def _agrees_with_the_four_step_reference(fam, u):
+    """Each quantile within 4 eps * (|z| + F0/f0) of the reference: |z| for
+    the rounding of z, F0/f0 for how far F0's own rounding moves the root."""
+    got = fam.quantile(0.0, u)
+    ref = _two_pass_newton_quantile(fam, 0.0, u)
+    tail, dens = fam._cdf0_pdf0(-np.abs(ref))
+    return np.abs(got - ref) <= 4.0 * np.finfo(float).eps * (np.abs(ref) + tail / dens)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 0.5, 1.0, 1.5])
+def test_scale_mixture_quantile_matches_the_four_step_reference(sigma):
+    assert np.all(_agrees_with_the_four_step_reference(
+        ScaleMixtureGaussian(LognormalMixing(0.0, sigma)), QUANTILE_SWEEP))
+
+
+def test_scale_mixture_quantile_clips_below_the_table():
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
+    zs, cdf = fam._quantile_table()[:2]
+    u = np.array([cdf[0] / 2.0, cdf[0] * 0.999, 1e-300])
+    assert np.all(fam.quantile(0.0, u) == zs[0])
+    assert np.all(fam.quantile_tail(0.0, 1.0 - u, u) == -zs[0])
+    assert fam.quantile(0.0, cdf[0] * 1.001) > zs[0]
+
+
+def test_scale_mixture_upper_tail_mirrors_the_lower_tail():
+    # 1 - F0(z) = F0(-z), and cu is solved as accurately as u.  A start
+    # interpolated in u, where 1 - cu rounds to 1, left four Newton steps
+    # about 1.0 off for cu below 5e-16
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
+    c = np.logspace(-18.0, -1.0, 69)
+    assert np.array_equal(fam.quantile_tail(0.0, 1.0 - c, c), -fam.quantile(0.0, c))
+
+
+def test_scale_mixture_quantile_converges_for_sigma_2():
+    # four Newton steps from a linear start left relative residuals up to
+    # 2.6e-3 here
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 2.0))
+    rng = np.random.default_rng(8)
+    u = np.concatenate([10.0 ** -rng.uniform(0.0, 18.0, 12500), rng.uniform(0.0, 1.0, 12500)])
+    z = fam.quantile(0.0, u)
+    tail = fam._cdf0(-np.abs(z))
+    v = np.minimum(u, 1.0 - u)
+    assert np.all(np.abs(z) < -fam._quantile_table()[0][0])
+    assert np.max(np.abs(tail - v) / v) <= 1e-13
+
+
+def test_scale_mixture_quantile_that_does_not_converge_raises():
+    # four Newton steps left relative residuals up to 1.87 here, unreported
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 3.0))
+    u = np.random.default_rng(8).uniform(0.0, 1.0, 25000)
+    with pytest.raises(NumericFailureError, match=r"LognormalMixing\(mu=0.0, sigma=3.0\)"):
+        fam.quantile(0.0, u)
 
 
 def test_scale_mixture_merge_stores_no_quantile():
@@ -491,14 +553,14 @@ def test_scale_mixture_merge_builds_its_quantile_table_once(monkeypatch):
     # at the same time; both used to build it
     monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
     tables = []
-    cdf0 = ScaleMixtureGaussian._cdf0
+    cdf0_pdf0 = ScaleMixtureGaussian._cdf0_pdf0
 
     def spy(self, z):
-        if np.size(z) == 16385:
+        if np.size(z) == 8193:
             tables.append(1)
-        return cdf0(self, z)
+        return cdf0_pdf0(self, z)
 
-    monkeypatch.setattr(ScaleMixtureGaussian, "_cdf0", spy)
+    monkeypatch.setattr(ScaleMixtureGaussian, "_cdf0_pdf0", spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -513,21 +575,21 @@ def test_scale_mixture_merge_builds_its_quantile_table_once(monkeypatch):
 
 def test_scale_mixture_quadrature_reuses_its_quantile_across_times(monkeypatch):
     # c_t only scales the unit quantile, so the shared quadrature nodes are
-    # inverted once per node count: one table pass plus eight passes for
+    # inverted once per node count: one table pass plus one Newton pass for
     # each of the 4096 and 8192 node rules, as before the memo matched by
     # identity
     calls = []
     block = ScaleMixtureGaussian._f0_block
 
-    def spy(self, z, func):
+    def spy(self, z, *funcs):
         calls.append(np.size(z))
-        return block(self, z, func)
+        return block(self, z, *funcs)
 
     monkeypatch.setattr(ScaleMixtureGaussian, "_f0_block", spy)
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=lambda t: t ** 0.5)
     rep = pathspace_wasserstein_same_copula(
         fam, GaussianScale(lambda t: 0.8 * t ** 0.5), make_uniform_grid(1.0, 2.0, 9), 2)
-    assert len(calls) == 17
+    assert calls == [8193, 4096, 8192]
     assert rep.integrated == 0.6539161710866062
 
 
