@@ -50,10 +50,14 @@ _EXIT_NUMERIC = 3
 _EXIT_ASSUMPTION = 4
 
 
-def _check_keys(section: dict, allowed, context: str) -> None:
-    """Unknown keys are hard errors; silent typos corrupt experiments."""
+def _check_object(section, context: str) -> None:
     if not isinstance(section, dict):
         raise InvalidArgumentError(f"config section {context!r} must be an object")
+
+
+def _check_keys(section: dict, allowed, context: str) -> None:
+    """Unknown keys are hard errors; silent typos corrupt experiments."""
+    _check_object(section, context)
     for key in section:
         if key not in allowed:
             raise InvalidArgumentError(
@@ -73,7 +77,7 @@ def _float(value, where: str) -> float:
     if not isinstance(value, bool):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise InvalidArgumentError(f"config key {where} must be a number, got {value!r}")
 
@@ -105,16 +109,15 @@ _READERS = {
 }
 
 
-def _build(fn, section, context: str, keys=None, extra=()):
-    """Call ``fn`` with a config section holding its parameters (or ``keys``)
-    and ``extra``; a parameter without a default is required.  A value is
+def _build(fn, section, context: str, extra=()):
+    """Call ``fn`` with a config section holding its parameters and
+    ``extra``; a parameter without a default is required.  A value is
     read by the text of its parameter's annotation (every module defers
     annotations), and ``X | None`` also takes a JSON null."""
     params = inspect.signature(fn).parameters
-    keys = tuple(params) if keys is None else keys
-    _check_keys(section, (*keys, *extra), context)
+    _check_keys(section, (*params, *extra), context)
     kwargs = {}
-    for key in keys:
+    for key in params:
         where = f"{context}.{key}" if context else key
         if key in section:
             value, annotation = section[key], str(params[key].annotation)
@@ -127,8 +130,9 @@ def _build(fn, section, context: str, keys=None, extra=()):
 
 
 def _parse_family(section, context="family"):
-    """Build a ``FAMILY_KINDS`` family from the keys it declares; for
+    """Build a ``FAMILY_KINDS`` family from its constructor's keywords; for
     families with a ``power_law_key``, ``power_law_hurst`` replaces it."""
+    _check_object(section, context)
     kind = _require(section, "kind", context)
     cls = FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
@@ -141,7 +145,7 @@ def _parse_family(section, context="family"):
                 f"{context}: give either {power_key} or power_law_hurst, not both")
         hurst = _float(section["power_law_hurst"], f"{context}.power_law_hurst")
         return _build(functools.partial(cls.power_law, hurst), section, context, extra=extra)
-    return _build(cls, section, context, cls.config_keys, extra)
+    return _build(cls, section, context, extra)
 
 
 def _sample(cfg, grid, context=""):

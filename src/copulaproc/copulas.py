@@ -29,7 +29,7 @@ from scipy.special import ndtr
 
 from . import rng
 from .errors import InvalidArgumentError, NumericFailureError, check_array, check_float
-from .grid import TimeGrid
+from .grid import TimeGrid, check_paths
 from .marginals import LognormalMixing, ScaleMixtureGaussian
 
 
@@ -44,13 +44,7 @@ class CopulaEnsemble:
     n_paths: int = field(init=False)
 
     def __post_init__(self):
-        paths = check_array(self.paths, "copula paths", 0.0, 1.0)
-        if paths.ndim != 2 or paths.shape[1] != self.grid.m:
-            raise InvalidArgumentError(
-                f"paths must have shape (n, {self.grid.m}), got {paths.shape}")
-        if paths.shape[0] < 1:
-            raise InvalidArgumentError("ensemble needs at least one path")
-        paths.setflags(write=False)
+        paths = check_paths(self.grid, self.paths, "copula paths", lo=0.0, hi=1.0)
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "n_paths", paths.shape[0])
 

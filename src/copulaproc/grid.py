@@ -75,6 +75,19 @@ class TimeGrid:
         return hash((self.a, self.b, self.m))
 
 
+def check_paths(grid: TimeGrid, paths, name: str, **bounds) -> np.ndarray:
+    """``paths`` as a read-only float array of shape (n >= 1, grid.m) whose
+    entries pass ``check_array(paths, name, **bounds)``."""
+    paths = check_array(paths, name, **bounds)
+    if paths.ndim != 2 or paths.shape[1] != grid.m:
+        raise InvalidArgumentError(
+            f"paths must have shape (n, {grid.m}), got {paths.shape}")
+    if paths.shape[0] < 1:
+        raise InvalidArgumentError("ensemble needs at least one path")
+    paths.setflags(write=False)
+    return paths
+
+
 def make_uniform_grid(a: float, b: float, m: int) -> TimeGrid:
     """Uniform grid with m points on [a, b] and trapezoid weights."""
     m = check_int(m, "m", 2)

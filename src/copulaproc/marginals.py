@@ -26,7 +26,7 @@ from scipy.special import ndtr, ndtri, roots_legendre
 
 from ._parallel import share, threads_for
 from .errors import (InvalidArgumentError, NumericFailureError, UnsupportedOperationError,
-                     check_array, check_float, check_int, holds_text_or_bool)
+                     check_array, check_float, holds_text_or_bool)
 from .grid import TimeGrid, grid_from_points
 from .serialize import write_matrix_csv
 
@@ -79,11 +79,9 @@ class MarginalFamily:
     """Base class; concrete families implement the `_*` hooks."""
 
     kind: str = "abstract"
-    #: constructor keywords a config may set, for ``FAMILY_KINDS`` members
-    config_keys: tuple = ()
     #: the scale keyword that a config's ``power_law_hurst`` replaces
     power_law_key: str | None = None
-    has_density: bool = False
+    #: no atoms, and a density
     is_continuous: bool = False
     #: the law is the same at every t, so per-time quadratures integrate once
     time_invariant: bool = False
@@ -235,9 +233,7 @@ class GaussianScale(MarginalFamily):
     """
 
     kind = "gaussian_scale"
-    config_keys = ("sigma", "mean")
     power_law_key = "sigma"
-    has_density = True
     is_continuous = True
 
     def __init__(self, sigma=1.0, mean=0.0):
@@ -299,9 +295,7 @@ class ExponentialScale(MarginalFamily):
     """
 
     kind = "exponential_scale"
-    config_keys = ("scale",)
     power_law_key = "scale"
-    has_density = True
     is_continuous = True
 
     def __init__(self, scale=1.0):
@@ -353,8 +347,6 @@ class Pareto(MarginalFamily):
     """
 
     kind = "pareto"
-    config_keys = ("x_min", "alpha")
-    has_density = True
     is_continuous = True
 
     def __init__(self, x_min: float, alpha):
@@ -394,8 +386,6 @@ class Uniform(MarginalFamily):
     """Uniform law on [lo, hi]; on [0, 1] the quantile is the exact identity."""
 
     kind = "uniform"
-    config_keys = ("lo", "hi")
-    has_density = True
     is_continuous = True
     time_invariant = True
 
@@ -454,6 +444,10 @@ class LognormalMixing:
         return f"lognormal(mu={self.mu:g},sigma={self.sigma:g})"
 
 
+#: Gauss-Legendre nodes of the scale-mixture integral over the mixing quantile
+_MIX_NODES = 64
+
+
 def _normal_cdf(block):
     return ndtr(block, out=block)
 
@@ -473,14 +467,10 @@ class ScaleMixtureGaussian(MarginalFamily):
     """
 
     kind = "scale_mixture_gaussian"
-    config_keys = ("mixing", "scale")
-    has_density = True
     is_continuous = True
 
-    def __init__(self, mixing: LognormalMixing = LognormalMixing(), scale=1.0,
-                 n_quad: int = 64):
+    def __init__(self, mixing: LognormalMixing = LognormalMixing(), scale=1.0):
         super().__init__()
-        self.n_quad = check_int(n_quad, "n_quad", 2)
         if not isinstance(mixing, LognormalMixing):
             raise InvalidArgumentError(f"mixing must be a LognormalMixing, got {mixing!r}")
         if not (np.isfinite(mixing.mean_inverse) and np.isfinite(mixing.mean_square)):
@@ -489,7 +479,7 @@ class ScaleMixtureGaussian(MarginalFamily):
         self.mixing = mixing
         self.scale = _as_time_fn(scale, "scale", lo=0.0, lo_open=True)
         self.time_invariant = not callable(scale)
-        nodes, weights = roots_legendre(self.n_quad)
+        nodes, weights = roots_legendre(_MIX_NODES)
         self._mix_u = 0.5 * (nodes + 1.0)
         self._mix_w = 0.5 * weights
         self._mix_s = check_array(mixing.quantile(self._mix_u), "mixing quantile",
@@ -530,7 +520,7 @@ class ScaleMixtureGaussian(MarginalFamily):
             starts = range(top, max(stop - 1, top + 1), 2048)
             blocks += zip(starts, [*starts[1:], stop])
         n_threads = threads_for(len(blocks))
-        buffers = np.empty((n_threads, min(flat.size, 2049), self.n_quad))
+        buffers = np.empty((n_threads, min(flat.size, 2049), self._mix_s.size))
 
         def run(k, rows):
             start, end = rows
@@ -652,7 +642,6 @@ class Empirical(MarginalFamily):
     """
 
     kind = "empirical"
-    has_density = False
     is_continuous = False
 
     def __init__(self, grid: TimeGrid, samples):

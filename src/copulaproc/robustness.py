@@ -199,7 +199,7 @@ def check_assumption(family_y: MarginalFamily, params: RobustnessParams,
     integral is +inf when, at some time, ``adaptive_unit_integral`` finds it
     overflowing or growing like s**(-kappa), kappa > 0.926, at an end node.
     """
-    if not family_y.has_density:
+    if not family_y.is_continuous:
         raise InvalidArgumentError("assumption check requires a density")
     u_lat = np.linspace(1e-6, 1.0 - 1e-6, 201)
     minorant_ok = floor_ok = monotone_ok = True
@@ -395,7 +395,7 @@ def copula_distance_bound(tilde_x: ProcessEnsemble, tilde_y: ProcessEnsemble,
     """
     q = check_int(q, "q", 1, MAX_P)
     check_coupled(tilde_x, tilde_y)
-    if not family_ty.has_density:
+    if not family_ty.is_continuous:
         raise InvalidArgumentError(
             "the bound needs a bounded density for the second family")
     grid = tilde_x.grid

@@ -25,37 +25,18 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def to_jsonable(obj):
-    """Reduce dataclasses, numpy containers, and tuples to plain types."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise InvalidArgumentError(f"cannot serialize object of type {type(obj).__name__}")
-
-
 def _emit(obj, indent: int, pieces: list) -> None:
+    """Append the JSON of ``obj`` to ``pieces``: dataclasses as objects of
+    their fields, numpy arrays as nested lists, tuples as lists and numpy
+    scalars as the Python value."""
     pad = "  " * indent
     if obj is None:
         pieces.append("null")
-    elif isinstance(obj, bool):
+    elif isinstance(obj, (bool, np.bool_)):
         pieces.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
+    elif isinstance(obj, (int, np.integer)):
+        pieces.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
         if math.isfinite(obj):
             pieces.append(format_float(obj))
         else:
@@ -82,14 +63,19 @@ def _emit(obj, indent: int, pieces: list) -> None:
             _emit(value, indent + 1, pieces)
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(pad + "]")
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), indent, pieces)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)},
+              indent, pieces)
     else:
-        _emit(to_jsonable(obj), indent, pieces)
+        raise InvalidArgumentError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def dumps_json(obj) -> str:
     """Deterministic pretty JSON with canonical float formatting."""
     pieces: list = []
-    _emit(to_jsonable(obj), 0, pieces)
+    _emit(obj, 0, pieces)
     return "".join(pieces) + "\n"
 
 

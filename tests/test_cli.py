@@ -249,6 +249,8 @@ def test_every_family_kind_builds_from_config(tmp_path, section, build):
     ({"kind": "uniform", "bogus": 1.0}, "family.bogus"),
     ({"kind": "pareto", "x_min": 1.0, "alpha": 3.0, "power_law_hurst": 0.5},
      "family.power_law_hurst"),
+    (None, "config section 'family' must be an object"),
+    (5, "config section 'family' must be an object"),
 ])
 def test_family_config_errors_exit_2(tmp_path, capsys, section, named):
     rc, _ = _run(tmp_path, "simulate", dict(SIMULATE_CFG, family=section))
@@ -285,6 +287,13 @@ def test_family_config_errors_exit_2(tmp_path, capsys, section, named):
                "family": {"kind": "pareto", "x_min": 1.0, "alpha": 3.0},
                "params": {"x0": "abc"}},
      "config key params.x0 must be a number, got 'abc'"),
+    ("wasserstein", {"grid": {"a": 0.0, "b": 1.0, "m": 3}, "p": 1,
+                     "family_a": [{"kind": "uniform"}], "family_b": {"kind": "uniform"}},
+     "config section 'family_a' must be an object"),
+    ("wasserstein", {"grid": {"a": 0.0, "b": 1.0, "m": 3}, "p": 1,
+                     "family_a": {"kind": "gaussian_scale", "sigma": 10 ** 400},
+                     "family_b": {"kind": "gaussian_scale", "sigma": -(10 ** 400)}},
+     "config key family_a.sigma must be a number"),
 ])
 def test_non_numeric_config_value_exits_2(tmp_path, capsys, command, cfg, named):
     rc, _ = _run(tmp_path, command, cfg)

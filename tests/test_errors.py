@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from copulaproc import (CopulaModel, Empirical, ExperimentConfig, GaussianScale,
-                        LognormalMixing, Pareto, ProcessEnsemble, ScaleMixtureGaussian,
-                        TimeGrid, check_assumption, check_moment_condition, constant_K,
+                        LognormalMixing, Pareto, ProcessEnsemble, TimeGrid,
+                        check_assumption, check_moment_condition, constant_K,
                         gaussian_minorant_params, make_uniform_grid,
                         sample_archimedean_clayton, wasserstein1d_empirical)
 from copulaproc.errors import InvalidArgumentError, check_array, check_float, check_int
@@ -137,14 +137,13 @@ _PARAMS = gaussian_minorant_params(GaussianScale(1.0), _GRID)
     (lambda: CopulaModel("clayton", theta="1"), "theta"),
     (lambda: path_generator(1, 1.5), "index"),
     (lambda: path_generator(1, 2**64), "index"),
-    (lambda: ScaleMixtureGaussian(LognormalMixing(), n_quad=2.5), "n_quad"),
     (lambda: check_assumption(GaussianScale(1.0), dataclasses.replace(
         _PARAMS, center=lambda t: math.nan), _GRID), "center(1.0)"),
     (lambda: constant_K(dataclasses.replace(_PARAMS, halfwidth=lambda t: math.nan),
                         GaussianScale(1.0), _GRID), "halfwidth(1.0)"),
 ], ids=["pareto_bool", "pareto_str", "rho_bool", "clayton_bool", "moment_bool",
         "experiment_str", "grid_str", "time_grid_bool", "mixing_str", "model_str",
-        "index_float", "index_2_64", "n_quad_float", "center_nan", "halfwidth_nan"])
+        "index_float", "index_2_64", "center_nan", "halfwidth_nan"])
 def test_library_refuses_bad_numbers(call, name):
     with pytest.raises(InvalidArgumentError, match=rf"^{re.escape(name)} must be "):
         call()

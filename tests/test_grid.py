@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from copulaproc import (InvalidArgumentError, NumericFailureError, TimeGrid,
-                        grid_from_points, integrate, make_uniform_grid)
+from copulaproc import (CopulaEnsemble, InvalidArgumentError, NumericFailureError,
+                        ProcessEnsemble, TimeGrid, grid_from_points, integrate,
+                        make_uniform_grid)
 from copulaproc.grid import trapezoid_weights
 
 
@@ -87,3 +90,20 @@ def test_integrate_rejects_bad_values():
         integrate(g, np.ones(4))
     with pytest.raises(NumericFailureError):
         integrate(g, np.array([1.0, 2.0, np.inf, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda grid, paths: CopulaEnsemble(grid, paths, 1, "tag"),
+    lambda grid, paths: ProcessEnsemble(grid, paths),
+], ids=["copula", "process"])
+def test_ensembles_check_their_paths_alike(make):
+    grid = make_uniform_grid(0.0, 1.0, 3)
+    for paths, message in ((np.full((2, 4), 0.5), "paths must have shape (n, 3), got (2, 4)"),
+                           (np.full(3, 0.5), "paths must have shape (n, 3), got (3,)"),
+                           (np.empty((0, 3)), "ensemble needs at least one path")):
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            make(grid, paths)
+    paths = np.full((2, 3), 0.5)
+    ensemble = make(grid, paths)
+    assert ensemble.paths is paths and not paths.flags.writeable
+    assert ensemble.n_paths == 2

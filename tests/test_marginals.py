@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, roots_legendre
 
 from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         InvalidArgumentError, LognormalMixing, NumericFailureError, Pareto,
@@ -297,9 +297,12 @@ def test_lognormal_mixing_closed_forms():
 def test_scale_mixture_cdf_against_dense_quadrature():
     mix = LognormalMixing(0.0, 0.5)
     fam = ScaleMixtureGaussian(mix)
-    dense = ScaleMixtureGaussian(mix, n_quad=256)
+    # the same mixture integral on 256 Gauss-Legendre nodes
+    nodes, weights = roots_legendre(256)
+    scales = mix.quantile(0.5 * (nodes + 1.0))
     z = np.linspace(-8.0, 8.0, 321)
-    assert np.max(np.abs(fam.cdf(0.0, z) - dense.cdf(0.0, z))) < 1e-5
+    dense = ndtr(z[:, None] / scales) @ (0.5 * weights)
+    assert np.max(np.abs(fam.cdf(0.0, z) - dense)) < 1e-5
 
 
 #: one row, a few rows, one past a 2048-row block, the 16,385-point quantile

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from copulaproc import InvalidArgumentError
-from copulaproc.serialize import format_float, write_matrix_csv
+from copulaproc.serialize import dumps_json, format_float, write_matrix_csv
 
 #: signed zeros, the smallest subnormal, a deeper subnormal, a huge value,
 #: two inexact fractions and every non-finite value, the sign of nan included
@@ -87,3 +89,43 @@ def test_matrix_csv_matches_format_float_bytes_in_the_exact_window(tmp_path, n_r
     times = np.linspace(0.5, 1.5, m)
     matrix = np.resize(_exact_window_values(), (n_rows, m))
     _assert_matches_reference(tmp_path / "window.csv", times, matrix)
+
+
+@dataclasses.dataclass
+class _Row:
+    flag: np.bool_
+    count: np.int64
+    values: np.ndarray
+    pair: tuple
+
+
+def test_json_reads_dataclasses_numpy_values_and_tuples():
+    obj = {1: _Row(np.True_, np.int64(3), np.array([[0.1, np.inf]]), (np.float32(0.5), None)),
+           "empty": [np.array([]), {}]}
+    assert dumps_json(obj) == (
+        '{\n'
+        '  "1": {\n'
+        '    "flag": true,\n'
+        '    "count": 3,\n'
+        '    "values": [\n'
+        '      [\n'
+        '        0.10000000000000001,\n'
+        '        "inf"\n'
+        '      ]\n'
+        '    ],\n'
+        '    "pair": [\n'
+        '      0.5,\n'
+        '      null\n'
+        '    ]\n'
+        '  },\n'
+        '  "empty": [\n'
+        '    [],\n'
+        '    {}\n'
+        '  ]\n'
+        '}\n')
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, [np.complex128(1j)], {"x": _Row}])
+def test_json_refuses_other_types(obj):
+    with pytest.raises(InvalidArgumentError, match=r"^cannot serialize object of type "):
+        dumps_json(obj)
