@@ -26,6 +26,7 @@ import inspect
 import json
 import os
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 import scipy
@@ -37,7 +38,7 @@ from .errors import (AssumptionViolatedError, InvalidArgumentError,
                      NumericFailureError, UnsupportedOperationError, check_int)
 from .grid import TimeGrid, make_uniform_grid
 from .kl import kl_from_ensemble, tail_energy
-from .marginals import FAMILY_KINDS, LognormalMixing
+from .marginals import FAMILY_KINDS, LognormalMixing, MarginalFamily
 from .rng import check_seed
 from .robustness import (MINORANT_PRESETS, ExperimentConfig, check_assumption,
                          pareto_elliptical_experiment)
@@ -50,26 +51,17 @@ _EXIT_NUMERIC = 3
 _EXIT_ASSUMPTION = 4
 
 
-def _check_object(section, context: str) -> None:
+def _check_keys(section, allowed, context: str) -> dict:
+    """``section``, which must be an object holding only ``allowed`` keys;
+    unknown keys are hard errors, since silent typos corrupt experiments."""
     if not isinstance(section, dict):
         raise InvalidArgumentError(f"config section {context!r} must be an object")
-
-
-def _check_keys(section: dict, allowed, context: str) -> None:
-    """Unknown keys are hard errors; silent typos corrupt experiments."""
-    _check_object(section, context)
     for key in section:
         if key not in allowed:
             raise InvalidArgumentError(
                 f"unknown config key {context}.{key}" if context else
                 f"unknown config key {key}")
-
-
-def _require(section: dict, key: str, context: str):
-    if key not in section:
-        where = f"{context}.{key}" if context else key
-        raise InvalidArgumentError(f"missing config key {where}")
-    return section[key]
+    return section
 
 
 def _float(value, where: str) -> float:
@@ -82,21 +74,45 @@ def _float(value, where: str) -> float:
     raise InvalidArgumentError(f"config key {where} must be a number, got {value!r}")
 
 
-def _int(value, where: str, minimum: int = 0) -> int:
-    """A JSON integer (never a boolean or a float) of at least ``minimum``."""
-    return check_int(value, f"config key {where}", minimum)
+def _int(value, where: str) -> int:
+    """A JSON integer, never a boolean or a float; the library checks its range."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidArgumentError(f"config key {where} must be an integer, got {value!r}")
 
 
-def _int_list(value, where: str) -> list:
+def _int_tuple(value, where: str) -> tuple:
+    """A JSON list of integers as a tuple."""
     if not isinstance(value, list):
         raise InvalidArgumentError(f"config key {where} must be a list of integers")
-    return [_int(k, where) for k in value]
+    return tuple(_int(k, where) for k in value)
 
 
-def _parse_grid(section, context="grid") -> TimeGrid:
-    _check_keys(section, ("a", "b", "m"), context)
-    a, b = (_float(_require(section, key, context), f"{context}.{key}") for key in ("a", "b"))
-    return make_uniform_grid(a, b, _int(_require(section, "m", context), f"{context}.m", 2))
+def _parse_grid(section, context: str) -> TimeGrid:
+    def grid(a: float, b: float, m: int):
+        return make_uniform_grid(a, b, check_int(m, f"config key {context}.m", 2))
+
+    return _build(grid, section, context)
+
+
+def _parse_family(section, context: str) -> MarginalFamily:
+    """Build a ``FAMILY_KINDS`` family from its constructor's keywords; for
+    families with a ``power_law_key``, ``power_law_hurst`` replaces it."""
+    if "kind" not in _check_keys(section, section, context):
+        raise InvalidArgumentError(f"missing config key {context}.kind")
+    kind = section["kind"]
+    cls = FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise InvalidArgumentError(f"unknown marginal kind {context}.kind = {kind!r}")
+    power_key = cls.power_law_key
+    extra = ("kind", "power_law_hurst") if power_key else ("kind",)
+    if power_key and "power_law_hurst" in section:
+        if power_key in section:
+            raise InvalidArgumentError(
+                f"{context}: give either {power_key} or power_law_hurst, not both")
+        hurst = _float(section["power_law_hurst"], f"{context}.power_law_hurst")
+        return _build(functools.partial(cls.power_law, hurst), section, context, extra=extra)
+    return _build(cls, section, context, extra)
 
 
 #: annotation text -> reader of a config value for a parameter so annotated;
@@ -104,8 +120,12 @@ def _parse_grid(section, context="grid") -> TimeGrid:
 _READERS = {
     "int": _int,
     "str": lambda value, where: value,
-    "Sequence[int]": lambda value, where: tuple(_int_list(value, where)),
+    "dict": lambda value, where: _check_keys(value, value, where),  # any object
+    "Sequence[int]": _int_tuple,
+    "TimeGrid": _parse_grid,
+    "CopulaModel": lambda value, where: _build(CopulaModel, value, where),
     "LognormalMixing": lambda value, where: _build(LognormalMixing, value, where),
+    "MarginalFamily": _parse_family,
 }
 
 
@@ -129,40 +149,11 @@ def _build(fn, section, context: str, extra=()):
     return fn(**kwargs)
 
 
-def _parse_family(section, context="family"):
-    """Build a ``FAMILY_KINDS`` family from its constructor's keywords; for
-    families with a ``power_law_key``, ``power_law_hurst`` replaces it."""
-    _check_object(section, context)
-    kind = _require(section, "kind", context)
-    cls = FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise InvalidArgumentError(f"unknown marginal kind {context}.kind = {kind!r}")
-    power_key = cls.power_law_key
-    extra = ("kind", "power_law_hurst") if power_key else ("kind",)
-    if power_key and "power_law_hurst" in section:
-        if power_key in section:
-            raise InvalidArgumentError(
-                f"{context}: give either {power_key} or power_law_hurst, not both")
-        hurst = _float(section["power_law_hurst"], f"{context}.power_law_hurst")
-        return _build(functools.partial(cls.power_law, hurst), section, context, extra=extra)
-    return _build(cls, section, context, extra)
+# A runner's parameters after ``outdir`` are its subcommand's config keys.
 
-
-def _sample(cfg, grid, context=""):
-    """Sample the model and n_paths of cfg, or of its ``context`` block,
-    on grid at the config seed."""
-    section, prefix = (cfg[context], f"{context}.") if context else (cfg, "")
-    model = _build(CopulaModel, _require(section, "model", context), prefix + "model")
-    n_paths = _int(_require(section, "n_paths", context), prefix + "n_paths", 1)
-    seed = _int(_require(cfg, "seed", ""), "seed")
-    return model.sample(grid, n_paths, seed)
-
-
-def _run_simulate(cfg, outdir):
-    _check_keys(cfg, ("grid", "model", "family", "n_paths", "seed"), "")
-    grid = _parse_grid(_require(cfg, "grid", ""))
-    copula = _sample(cfg, grid)
-    family = _parse_family(cfg["family"]) if "family" in cfg else None
+def _run_simulate(outdir, grid: TimeGrid, model: CopulaModel, n_paths: int, seed: int,
+                  family: MarginalFamily = None):
+    copula = model.sample(grid, n_paths, seed)
     ks_p = [ks_uniform_pvalue(copula.paths[:, j]) for j in range(grid.m)]
     paths = copula.paths if family is None else merge(copula, family).paths
     write_matrix_csv(os.path.join(outdir, "ensemble.csv"), grid.points, paths)
@@ -176,16 +167,16 @@ def _run_simulate(cfg, outdir):
     return extras, ["ensemble.csv"]
 
 
-def _run_wasserstein(cfg, outdir):
-    _check_keys(cfg, ("grid", "p", "family_a", "family_b", "mc", "seed"), "")
-    grid = _parse_grid(_require(cfg, "grid", ""))
-    p = _int(_require(cfg, "p", ""), "p", 1)
-    family_a = _parse_family(_require(cfg, "family_a", ""), "family_a")
-    family_b = _parse_family(_require(cfg, "family_b", ""), "family_b")
+def _run_wasserstein(outdir, grid: TimeGrid, p: int, family_a: MarginalFamily,
+                     family_b: MarginalFamily, mc: dict = None, seed: int = None):
+    def sample(model: CopulaModel, n_paths: int):
+        if seed is None:
+            raise InvalidArgumentError("missing config key seed")
+        return model.sample(grid, n_paths, seed)
+
     report = pathspace_wasserstein_same_copula(family_a, family_b, grid, p)
-    if "mc" in cfg:
-        _check_keys(cfg["mc"], ("model", "n_paths"), "mc")
-        copula = _sample(cfg, grid, "mc")
+    if mc is not None:
+        copula = _build(sample, mc, "mc")
         report = attach_mc_check(report, merge(copula, family_a),
                                  merge(copula, family_b))
     write_json(os.path.join(outdir, "report.json"), report)
@@ -194,8 +185,8 @@ def _run_wasserstein(cfg, outdir):
     return {}, ["report.json", "per_t.csv"]
 
 
-def _run_robustness(cfg, outdir):
-    report = pareto_elliptical_experiment(_build(ExperimentConfig, cfg, ""))
+def _run_robustness(outdir, config: ExperimentConfig):
+    report = pareto_elliptical_experiment(config)
     write_json(os.path.join(outdir, "report.json"), report)
     header = ("n_keep", "lhs", "marginal_term", "copula_term", "K", "rho",
               "tail_energy", "holds")
@@ -204,17 +195,14 @@ def _run_robustness(cfg, outdir):
     return {}, ["report.json", "rows.csv"]
 
 
-def _run_klexpand(cfg, outdir):
-    _check_keys(cfg, ("grid", "model", "family", "n_paths", "seed", "n_keep"), "")
-    grid = _parse_grid(_require(cfg, "grid", ""))
-    copula = _sample(cfg, grid)
-    family = _parse_family(cfg["family"]) if "family" in cfg else None
+def _run_klexpand(outdir, grid: TimeGrid, model: CopulaModel, n_paths: int, seed: int,
+                  family: MarginalFamily = None, n_keep: Sequence[int] = ()):
+    copula = model.sample(grid, n_paths, seed)
     if family is None:
         ensemble = ProcessEnsemble(grid, copula.paths, "uniform", copula.model_tag)
     else:
         ensemble = merge(copula, family)
     decomposition = kl_from_ensemble(ensemble)
-    n_keep = _int_list(cfg.get("n_keep", []), "n_keep")
     tails = {str(k): tail_energy(decomposition, k) for k in n_keep}
     report = {
         "eigenvalues": decomposition.eigenvalues,
@@ -230,23 +218,22 @@ def _run_klexpand(cfg, outdir):
     return {}, ["report.json", "eigenvalues.csv", "eigenfunctions.csv"]
 
 
-def _run_check(cfg, outdir):
-    _check_keys(cfg, ("mode", "grid", "family", "p", "params", "seed"), "")
-    mode = _require(cfg, "mode", "")
-    grid = _parse_grid(_require(cfg, "grid", ""))
-    family = _parse_family(_require(cfg, "family", ""))
-    for key, other_mode in (("params", "moment"), ("p", "assumption")):
-        if mode == other_mode and key in cfg:
+def _run_check(outdir, mode: str, grid: TimeGrid, family: MarginalFamily, p: float = None,
+               params: dict = None, seed: int = None):
+    """``seed`` is unused; it is a key here since ``--seed`` sets it."""
+    for key, value, other_mode in (("params", params, "moment"), ("p", p, "assumption")):
+        if mode == other_mode and value is not None:
             raise InvalidArgumentError(f"config key {key} does not apply to {mode} mode")
     if mode == "moment":
-        report = check_moment_condition(family, grid, _float(_require(cfg, "p", ""), "p"))
+        if p is None:
+            raise InvalidArgumentError("missing config key p")
+        report = check_moment_condition(family, grid, p)
     elif mode == "assumption":
         preset = MINORANT_PRESETS.get(family.kind)
         if preset is None:
             raise InvalidArgumentError(
                 f"assumption mode supports {' and '.join(MINORANT_PRESETS)} families")
-        params = _build(functools.partial(preset, family, grid), cfg.get("params", {}),
-                        "params")
+        params = _build(functools.partial(preset, family, grid), params or {}, "params")
         report = check_assumption(family, params, grid)
     else:
         raise InvalidArgumentError(f"mode must be 'moment' or 'assumption', got {mode!r}")
@@ -290,10 +277,8 @@ def _load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, too long an int
         raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InvalidArgumentError(f"config {path} must hold a JSON object")
     return cfg
@@ -306,8 +291,15 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = check_seed(args.seed)
-        os.makedirs(args.out, exist_ok=True)
-        extras, files = _COMMANDS[args.command][0](cfg, args.out)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot make output directory {args.out}: {exc}") from exc
+        run = functools.partial(_COMMANDS[args.command][0], args.out)
+        if args.command == "robustness":  # the whole config is the experiment's
+            extras, files = run(_build(ExperimentConfig, cfg, ""))
+        else:
+            extras, files = _build(run, cfg, "")
         manifest = {
             "command": args.command,
             "config_echo": cfg,

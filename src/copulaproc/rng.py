@@ -32,12 +32,6 @@ def path_generator(seed: int, index: int) -> np.random.Generator:
     The 128-bit Philox key is the pair (seed, index), so distinct paths use
     provably disjoint streams and regenerating any single path is O(1).
     """
-    return _keyed(seed, index)
-
-
-def _keyed(seed: int, index: int) -> np.random.Generator:
-    """``path_generator(seed, index)``, which the tracer of the benchmark
-    does not count as a stream of its own."""
     key = np.array([check_seed(seed), check_int(index, "index", 0, 2**64 - 1)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -77,7 +71,7 @@ def uniform_rows(seed: int, n_paths: int, n_cols: int) -> np.ndarray:
 def uniform_row(seed: int, index: int, n_cols: int) -> np.ndarray:
     """Row ``index`` of every ``uniform_rows(seed, n, n_cols)`` with n > index,
     drawn alone in O(n_cols)."""
-    return _keyed(seed, index).random(check_int(n_cols, "n_cols", 1))
+    return path_generator(seed, index).random(check_int(n_cols, "n_cols", 1))
 
 
 def normal_rows(seed: int, n_paths: int, n_cols: int) -> np.ndarray:

@@ -47,6 +47,16 @@ SIMULATE_CFG = {
     "seed": 7,
 }
 
+WASSERSTEIN_CFG = {
+    "grid": {"a": 0.0, "b": 1.0, "m": 3}, "p": 1,
+    "family_a": {"kind": "gaussian_scale", "sigma": 1.0},
+    "family_b": {"kind": "gaussian_scale", "sigma": 2.0},
+}
+CHECK_CFG = {
+    "mode": "moment", "p": 1, "grid": {"a": 1.0, "b": 2.0, "m": 3},
+    "family": {"kind": "pareto", "x_min": 1.0, "alpha": 3.0},
+}
+
 
 def test_simulate_comonotone_constant_rows(tmp_path):
     rc, outdir = _run(tmp_path, "simulate", SIMULATE_CFG)
@@ -107,11 +117,13 @@ def test_rerun_is_byte_identical_across_thread_counts(tmp_path):
 
 
 def test_seed_override_lands_in_manifest(tmp_path):
-    rc, outdir = _run(tmp_path, "simulate", SIMULATE_CFG, ("--seed", "999"))
-    assert rc == 0
-    manifest = _read_json(outdir / "manifest.json")
-    assert manifest["seed"] == 999
-    assert manifest["config_echo"]["seed"] == 999
+    # check takes the seed key, which it does not use, since --seed sets it
+    for command, cfg in (("simulate", SIMULATE_CFG), ("check", CHECK_CFG)):
+        rc, outdir = _run(tmp_path, command, cfg, ("--seed", "999"), outname=command)
+        assert rc == 0
+        manifest = _read_json(outdir / "manifest.json")
+        assert manifest["seed"] == 999
+        assert manifest["config_echo"]["seed"] == 999
 
 
 def test_simulate_without_family_emits_uniform_paths(tmp_path):
@@ -368,6 +380,57 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 def test_invalid_threads_exits_2(tmp_path):
     rc, _ = _run(tmp_path, "simulate", SIMULATE_CFG, ("--threads", "0"))
     assert rc == 2
+
+
+def _long_int_config():
+    # Python reads no integer of more than 4300 digits, nor writes one, so
+    # the JSON text is edited rather than dumped
+    with open(os.path.join(REPO_ROOT, "configs", "wasserstein.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count('"sigma": 1.0') == 2
+    return text.replace('"sigma": 1.0', '"sigma": 1' + "0" * 5000, 1).encode()
+
+
+@pytest.mark.parametrize("content", [
+    _long_int_config(),
+    json.dumps(SIMULATE_CFG).encode("utf-16"),
+    b'{"grid": ',
+], ids=["5001-digit-int", "not-utf8", "not-json"])
+def test_unreadable_config_exits_2_naming_its_path(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    rc = main(["wasserstein", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}: ")
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg_path = _write_config(tmp_path / "c.json", SIMULATE_CFG)
+    rc = main(["simulate", "--config", cfg_path, "--out", str(taken)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot make output directory {taken}: ")
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("simulate", dict(SIMULATE_CFG, n_paths=0), "n_paths must be an integer >= 1, got 0"),
+    ("simulate", dict(SIMULATE_CFG, grid={"a": 0.0, "b": 1.0, "m": -1}),
+     "config key grid.m must be an integer >= 2, got -1"),
+    ("wasserstein", dict(WASSERSTEIN_CFG, p=0), "p must be an integer in [1, 4], got 0"),
+    ("wasserstein", dict(WASSERSTEIN_CFG, mc={"model": {"variant": "comonotone"},
+                                              "n_paths": 8}),
+     "missing config key seed"),
+    ("check", dict(CHECK_CFG, seed=1.5), "config key seed must be an integer, got 1.5"),
+    ("check", {key: value for key, value in CHECK_CFG.items() if key != "p"},
+     "missing config key p"),
+], ids=["n_paths-0", "grid.m-negative", "p-0", "mc-without-seed", "check-float-seed",
+        "moment-without-p"])
+def test_config_value_messages(tmp_path, capsys, command, cfg, message):
+    rc, _ = _run(tmp_path, command, cfg)
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_wasserstein_identical_families_is_zero(tmp_path):
