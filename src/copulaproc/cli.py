@@ -284,8 +284,35 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _new_dirs(path) -> list:
+    """``path`` and those of its parents that do not exist yet, deepest first."""
+    new = []
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        new.append(path)
+        path = os.path.dirname(path)
+    return new
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    new_dirs = _new_dirs(args.out)
+    rc = 1  # an escaping exception exits 1
+    try:
+        rc = _main(args)
+        return rc
+    finally:
+        # a failed run takes back the directories it made while they are
+        # empty; one that existed before is never removed
+        if rc != 0:
+            for path in new_dirs:
+                try:
+                    os.rmdir(path)
+                except OSError:
+                    break
+
+
+def _main(args) -> int:
     try:
         check_int(args.threads, "--threads", 1)
         cfg = _load_config(args.config)

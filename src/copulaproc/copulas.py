@@ -166,14 +166,20 @@ def sample_archimedean_clayton(grid: TimeGrid, theta: float, n_paths: int,
     """
     theta = check_float(theta, "theta", 0.0, lo_open=True)
     m = grid.m
+    frailties = []
 
     def draw(gen):
         frailty = gen.standard_gamma(1.0 / theta)
         while frailty == 0.0:  # guard against underflow for large theta
             frailty = gen.standard_gamma(1.0 / theta)
-        return (1.0 + gen.standard_exponential(m) / frailty) ** (-1.0 / theta)
+        frailties.append(frailty)
+        return gen.standard_exponential(m)
 
     paths = rng.path_rows(seed, n_paths, m, draw)
+    # the per-path arithmetic on the whole matrix, in the same order
+    paths /= np.array(frailties)[:, None]
+    paths += 1.0
+    paths **= -1.0 / theta
     return CopulaEnsemble(grid, paths, int(seed), f"clayton(theta={theta:g})")
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
@@ -448,6 +449,33 @@ class LognormalMixing:
 _MIX_NODES = 64
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+class _UnitLaw:
+    """What a scale mixture's unit law S * Z takes from its mixing alone: the
+    Gauss-Legendre weights and scales of the mixture integral, and the
+    quantile table, which the first family to ask builds under ``lock``.
+    Every array is read-only, as equal mixings share one law."""
+
+    def __init__(self, mixing: LognormalMixing):
+        nodes, weights = roots_legendre(_MIX_NODES)
+        u = 0.5 * (nodes + 1.0)
+        scales = check_array(mixing.quantile(u), "mixing quantile", 0.0, lo_open=True)
+        self.weights, self.scales = _read_only(0.5 * weights, scales)
+        self.table = None
+        self.lock = threading.Lock()
+
+
+@lru_cache(maxsize=16)
+def _unit_law(mixing: LognormalMixing) -> _UnitLaw:
+    """The law of the 16 most recent mixings; a family keeps its own."""
+    return _UnitLaw(mixing)
+
+
 def _normal_cdf(block):
     return ndtr(block, out=block)
 
@@ -463,7 +491,9 @@ class ScaleMixtureGaussian(MarginalFamily):
     over the entries still moving.  Mixings that spread the scales so far
     that four steps leave an entry moving (sigma about 2.5 or more) raise
     ``NumericFailureError``.  An optional per-time scale c_t gives the law
-    of c_t * S * Z.
+    of c_t * S * Z.  The scales, weights and table depend on the mixing
+    alone: they are built once per mixing, the 16 most recent kept, and
+    shared read-only among families with equal mixings.
     """
 
     kind = "scale_mixture_gaussian"
@@ -479,13 +509,8 @@ class ScaleMixtureGaussian(MarginalFamily):
         self.mixing = mixing
         self.scale = _as_time_fn(scale, "scale", lo=0.0, lo_open=True)
         self.time_invariant = not callable(scale)
-        nodes, weights = roots_legendre(_MIX_NODES)
-        self._mix_u = 0.5 * (nodes + 1.0)
-        self._mix_w = 0.5 * weights
-        self._mix_s = check_array(mixing.quantile(self._mix_u), "mixing quantile",
-                                  0.0, lo_open=True)
-        self._table = None
-        self._table_lock = threading.Lock()
+        self._law = _unit_law(mixing)
+        self._mix_w, self._mix_s = self._law.weights, self._law.scales
 
     # ----- unit-scale mixture functions ---------------------------------
     def _f0_block(self, z, *funcs) -> list:
@@ -557,10 +582,12 @@ class ScaleMixtureGaussian(MarginalFamily):
         """The lower half of the unit law on 8193 nodes z from -z_max to 0:
         z, F0(z), log F0(z) and, on each interval of log F0, the cubic
         Hermite interpolant of z with the exact slopes dz / dlog F0 = F0 / f0,
-        as coefficients in the interval's own variable a in [0, 1]."""
+        as coefficients in the interval's own variable a in [0, 1].  It
+        depends on the mixing alone, so it is built once per unit law."""
+        law = self._law
         # the column groups of a merge ask for it at once; one builds it
-        with self._table_lock:
-            if self._table is None:
+        with law.lock:
+            if law.table is None:
                 z_max = float(self._mix_s.max()) * abs(ndtri(1e-14)) * 1.05
                 zs = np.linspace(-z_max, 0.0, 8193)
                 cdf, pdf = self._cdf0_pdf0(zs)
@@ -569,9 +596,10 @@ class ScaleMixtureGaussian(MarginalFamily):
                 slope = cdf / pdf
                 # z's rise over each interval, and at its ends the slopes in a
                 rise, d0, d1 = np.diff(zs), widths * slope[:-1], widths * slope[1:]
-                cubic = (zs[:-1], d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise)
-                self._table = (zs, cdf, logs, widths, cubic)
-        return self._table
+                cubic = _read_only(zs[:-1], d0, 3.0 * rise - 2.0 * d0 - d1,
+                                   d0 + d1 - 2.0 * rise)
+                law.table = (*_read_only(zs, cdf, logs, widths), cubic)
+        return law.table
 
     def _unit_quantile(self, u, cu):
         # below the median F0(y) = u, above it F0(y) = cu and z = -y, as

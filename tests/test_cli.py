@@ -414,6 +414,21 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
         f"config error: cannot make output directory {taken}: ")
 
 
+def test_refused_config_leaves_no_new_output_directory(tmp_path):
+    # the run makes --out and its missing parents, and takes them back
+    # once the config is refused; a directory that was there stays
+    cfg_path = _write_config(tmp_path / "c.json", {"bogus": 1})
+    out = tmp_path / "new" / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["c.json"]
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["simulate", "--config", cfg_path, "--out", str(kept / "out")]) == 2
+    assert os.listdir(kept) == []
+    assert main(["simulate", "--config", cfg_path, "--out", str(kept)]) == 2
+    assert kept.is_dir()
+
+
 @pytest.mark.parametrize("command, cfg, message", [
     ("simulate", dict(SIMULATE_CFG, n_paths=0), "n_paths must be an integer >= 1, got 0"),
     ("simulate", dict(SIMULATE_CFG, grid={"a": 0.0, "b": 1.0, "m": -1}),

@@ -366,6 +366,7 @@ WORKER_SIZES = (*MIXTURE_SIZES, 2048, 4097, 65536)
 
 def _mixture_values(seed):
     """cdf, pdf and quantile of a fresh mixture, its table included."""
+    marginals._unit_law.cache_clear()
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=2.0)
     rng = np.random.default_rng(seed)
     shapes = [(n,) for n in WORKER_SIZES] + [(3, 4097)]
@@ -569,6 +570,7 @@ def test_scale_mixture_merge_builds_its_quantile_table_once(monkeypatch):
     try:
         for seed in range(3):
             tables.clear()
+            marginals._unit_law.cache_clear()
             fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=lambda t: t)
             merge(sample_comonotone(make_uniform_grid(1.0, 2.0, 33), 4096, seed=seed), fam)
             assert len(tables) == 1
@@ -589,11 +591,66 @@ def test_scale_mixture_quadrature_reuses_its_quantile_across_times(monkeypatch):
         return block(self, z, *funcs)
 
     monkeypatch.setattr(ScaleMixtureGaussian, "_f0_block", spy)
+    marginals._unit_law.cache_clear()
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=lambda t: t ** 0.5)
     rep = pathspace_wasserstein_same_copula(
         fam, GaussianScale(lambda t: 0.8 * t ** 0.5), make_uniform_grid(1.0, 2.0, 9), 2)
     assert calls == [8193, 4096, 8192]
     assert rep.integrated == 0.6539161710866062
+
+
+def _counting_table_builds(monkeypatch):
+    """A list that gains an entry each time a quantile table is built."""
+    builds = []
+    cdf0_pdf0 = ScaleMixtureGaussian._cdf0_pdf0
+
+    def spy(self, z):
+        if np.size(z) == 8193:
+            builds.append(self)
+        return cdf0_pdf0(self, z)
+
+    monkeypatch.setattr(ScaleMixtureGaussian, "_cdf0_pdf0", spy)
+    return builds
+
+
+def test_scale_mixtures_with_equal_mixings_share_one_table(monkeypatch):
+    # the table is the unit law's, so another scale builds none, and its
+    # unit quantiles are the first family's bit for bit
+    marginals._unit_law.cache_clear()
+    builds = _counting_table_builds(monkeypatch)
+    first = ScaleMixtureGaussian(LognormalMixing(0.2, 0.4), scale=2.0)
+    u = np.random.default_rng(17).uniform(0.0, 1.0, 3000)
+    want = first.quantile(0.0, u) / 2.0
+    second = ScaleMixtureGaussian(LognormalMixing(0.2, 0.4), scale=lambda t: 0.5 + t)
+    assert np.array_equal(second.quantile(0.5, u), want)
+    assert builds == [first]
+    assert second._quantile_table() is first._quantile_table()
+    for arr in (*first._quantile_table()[:4], *first._quantile_table()[4],
+                first._mix_s, first._mix_w):
+        assert not arr.flags.writeable
+
+
+def test_scale_mixture_keeps_its_table_after_the_cache_drops_its_mixing(monkeypatch):
+    marginals._unit_law.cache_clear()
+    builds = _counting_table_builds(monkeypatch)
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
+    table = fam._quantile_table()
+    other = ScaleMixtureGaussian(LognormalMixing(0.0, 0.6))
+    other._quantile_table()
+    assert builds == [fam, other]
+    assert other._quantile_table()[0][0] != table[0][0]
+    # 16 other mixings push the first out of the cache ...
+    for k in range(16):
+        ScaleMixtureGaussian(LognormalMixing(0.01 * (k + 1), 0.5))
+    assert marginals._unit_law.cache_info().currsize == 16
+    # ... but the live family still holds its law and table, while a new
+    # family of that mixing builds the table again, to the same bits
+    assert fam._quantile_table() is table
+    fresh = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
+    assert fresh._quantile_table() is not table
+    assert builds == [fam, other, fresh]
+    for got, want in zip(fresh._quantile_table()[:4], table[:4]):
+        assert np.array_equal(got, want)
 
 
 def _gaussian_pair():

@@ -77,10 +77,11 @@ def test_cached_nodes_are_read_only():
         u[0] = 0.5
     with pytest.raises(ValueError):
         cu *= 2.0
-    w[0] = 0.0  # the weights are the caller's own
-    # the nodes lie on immutable bytes, so not even their owner can make
-    # them writable again and refill them
-    for arr in (u, cu):
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    # the nodes and weights lie on immutable bytes, so not even their owner
+    # can make them writable again and refill them
+    for arr in (u, cu, w):
         with pytest.raises(ValueError):
             arr.setflags(write=True)
 
@@ -178,6 +179,22 @@ def test_an_overflowing_end_is_divergent_and_nan_still_raises():
     assert adaptive_unit_integral(overflowing, _MOMENT_DELTA) == np.inf
     with pytest.raises(NumericFailureError):
         adaptive_unit_integral(lambda u, cu: np.where(cu < 1e-6, np.nan, 1.0), _MOMENT_DELTA)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "inf and -inf"])
+def test_a_non_finite_value_inside_raises(bad):
+    # the sum is taken before the values are checked: any non-finite value,
+    # also +inf and -inf that the sum turns into NaN, makes it non-finite
+    def f(u, cu):
+        vals = np.ones_like(u)
+        if bad == "inf and -inf":
+            vals[[u.size // 3, u.size // 2]] = np.inf, -np.inf
+        elif u.size > 4096:  # at the second level only
+            vals[u.size // 2] = bad
+        return vals
+
+    with pytest.raises(NumericFailureError, match="integrand produced non-finite values"):
+        adaptive_unit_integral(f, _MOMENT_DELTA)
 
 
 def test_a_nan_gap_end_is_divergent_only_where_a_tail_is_inf():
