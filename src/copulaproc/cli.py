@@ -265,11 +265,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the config's master seed (u64)")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="accepted for interface stability and ignored; merge, "
-                              "extract_copula and the scale-mixture kernel share their "
-                              "work over the CPUs in the process's affinity mask, and "
-                              "outputs are byte-identical for any CPU count, BLAS "
-                              "thread count or value of this flag")
+                         help="accepted for interface stability and ignored; merge "
+                              "and extract_copula share their columns over the CPUs "
+                              "in the process's affinity mask, and outputs are "
+                              "byte-identical for any CPU count, BLAS thread count "
+                              "or value of this flag")
     return parser
 
 

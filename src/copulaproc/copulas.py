@@ -162,7 +162,8 @@ def sample_archimedean_clayton(grid: TimeGrid, theta: float, n_paths: int,
     With M ~ Gamma(1/theta, 1) and E_j iid standard exponential,
     U_j = (1 + E_j / M)**(-1/theta) has the Clayton law whose generator
     is phi(x) = x**-theta - 1: the marginal CDF is the Laplace transform
-    (1 + s)**(-1/theta) of M evaluated at phi(u), which returns u.
+    (1 + s)**(-1/theta) of M evaluated at phi(u), which returns u.  Where
+    M is so small that E_j / M overflows, U_j = exp(-(log E_j - log M)/theta).
     """
     theta = check_float(theta, "theta", 0.0, lo_open=True)
     m = grid.m
@@ -176,10 +177,21 @@ def sample_archimedean_clayton(grid: TimeGrid, theta: float, n_paths: int,
         return gen.standard_exponential(m)
 
     paths = rng.path_rows(seed, n_paths, m, draw)
-    # the per-path arithmetic on the whole matrix, in the same order
-    paths /= np.array(frailties)[:, None]
-    paths += 1.0
-    paths **= -1.0 / theta
+    frailty = np.array(frailties)[:, None]
+    with np.errstate(over="ignore"):
+        # the rows holding an E / M past the largest float; there the power
+        # gives 0.0, while 1 + E / M is E / M to the last bit
+        rows = np.flatnonzero(np.isinf(paths.max(axis=1) / frailty[:, 0]))
+        exps = paths[rows]
+        tiny = np.broadcast_to(frailty[rows], exps.shape)
+        over = np.isinf(exps / tiny)
+        # the per-path arithmetic on the whole matrix, in the same order
+        paths /= frailty
+        paths += 1.0
+        paths **= -1.0 / theta
+    fixed = paths[rows]
+    fixed[over] = np.exp(-(np.log(exps[over]) - np.log(tiny[over])) / theta)
+    paths[rows] = fixed
     return CopulaEnsemble(grid, paths, int(seed), f"clayton(theta={theta:g})")
 
 

@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from ._parallel import share, threads_for
 from .errors import (InvalidArgumentError, NumericFailureError, UnsupportedOperationError,
                      check_array, check_float, holds_text_or_bool)
 from .grid import TimeGrid, grid_from_points
@@ -522,39 +521,26 @@ class ScaleMixtureGaussian(MarginalFamily):
         before it, unless it starts a run of 65536 and so has always gone
         alone.  Every row keeps the value of one block per 65536 rows.
 
-        The blocks are shared out through ``_parallel.share``, among one
-        thread per CPU in the affinity mask, at most one per block; inside
-        shared work, such as a column group of ``merge``, the call runs
-        inline.  Each thread owns a buffer of at most 2049 rows, which
-        each ``func`` in turn overwrites and returns, after the block
-        z / s is written into it afresh: several funcs make one pass over
-        the blocks, and each of their values is the one a pass of its own
-        gives.  The buffers are one array, since two separate 1 MB arrays
-        freed together can be trimmed from the heap and page-faulted anew
-        at the next call.  A row's value depends only on its block, so it
-        is the same for any CPU count and any sharing of the blocks.
-        ``func`` runs in the worker threads and must touch nothing but its
-        block.  Returns one array of z's shape per func.
+        The blocks run on the calling thread, through one buffer of at
+        most 2049 rows, which each ``func`` in turn overwrites and returns,
+        after the block z / s is written into it afresh: several funcs
+        make one pass over the blocks, and each of their values is the one
+        a pass of its own gives.  Work is shared by column in ``merge`` and
+        ``extract_copula``, not here.  Returns one array of z's shape per
+        func.
         """
         z = np.asarray(z, dtype=float)
         flat = z.ravel()
         outs = [np.empty_like(flat) for _ in funcs]
-        blocks = []
+        buffer = np.empty((min(flat.size, 2049), self._mix_s.size))
         for top in range(0, flat.size, 65536):
             stop = min(top + 65536, flat.size)
             starts = range(top, max(stop - 1, top + 1), 2048)
-            blocks += zip(starts, [*starts[1:], stop])
-        n_threads = threads_for(len(blocks))
-        buffers = np.empty((n_threads, min(flat.size, 2049), self._mix_s.size))
-
-        def run(k, rows):
-            start, end = rows
-            block = buffers[k][:end - start]
-            for func, out in zip(funcs, outs):
-                np.divide(flat[start:end, None], self._mix_s[None, :], out=block)
-                np.matmul(func(block), self._mix_w, out=out[start:end])
-
-        share(blocks, run, n_threads)
+            for start, end in zip(starts, [*starts[1:], stop]):
+                block = buffer[:end - start]
+                for func, out in zip(funcs, outs):
+                    np.divide(flat[start:end, None], self._mix_s[None, :], out=block)
+                    np.matmul(func(block), self._mix_w, out=out[start:end])
         return [out.reshape(z.shape) for out in outs]
 
     def _density(self, block):

@@ -12,12 +12,14 @@ every path has its own key, skipping the draws moves no other stream.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from ._parallel import share, threads_for
 from ._quadrature import adaptive_unit_integral, per_time_integrals, step_power_integral
 from .copulas import CopulaEnsemble
 from .errors import InvalidArgumentError, check_float
@@ -56,32 +58,60 @@ def _check_family_grid(family: MarginalFamily, grid: TimeGrid) -> None:
             "empirical family is defined on a different grid")
 
 
-def _columnwise(points, fn, out, *arrays) -> np.ndarray:
-    """Column j of ``out`` becomes fn(points[j], arrays[0][:, j], ...).
+def usable_cpus() -> int:
+    """CPUs this thread may run on: its affinity mask, read at each call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    From 4096 rows on, the columns go in groups shared through
-    ``_parallel.share`` among one thread per CPU, at most 8 columns in
-    flight in all: 8 per group on one CPU, 4 on two, 1 from eight CPUs
-    on; fewer rows run in groups of 8 on the caller.  A thread
-    copies its group's columns into contiguous rows, so each paths row is
-    read once per group rather than once per column, calls fn once per
-    column on a contiguous copy of it and writes the values straight into
-    their column of ``out``.  Elementwise families give the values of a
-    loop over strided columns bit for bit, for any CPU count.  ``out`` may
-    be one of ``arrays``: a group has copied its columns before it writes
+
+def _columnwise(points, fn, out, x, *aux) -> np.ndarray:
+    """Column j of ``out`` becomes fn(points[j], x[:, j], aux[0][:, j], ...).
+
+    From 4096 rows on, the columns go in groups shared among one thread
+    per CPU in the affinity mask, at most 8 columns in flight in all: 8
+    per group on one CPU, 4 on two, 1 from eight CPUs on; fewer rows run
+    in groups of 8 on the caller.  The caller and the workers of an
+    executor that ends with the call each take the next group until none
+    is left, so a thread whose CPU is slowed by other work takes fewer
+    groups, and a worker's exception is raised again in the caller once
+    every thread has stopped.  A thread copies its group's columns of
+    ``x`` into contiguous rows, so each row of ``x`` is read once per
+    group rather than once per column, calls fn once per column on a
+    contiguous copy of it and writes the values straight into their
+    column of ``out``; ``aux`` is read-only and is passed as strided
+    columns.  Elementwise families give the values of a loop over strided
+    columns bit for bit, for any CPU count.  ``out`` may be ``x`` or one
+    of ``aux``: a group has copied or read its columns before it writes
     them, and no other group reads them.
     """
-    cpus = threads_for(len(points)) if len(out) >= _SHARED_ROWS else 1
+    cpus = min(usable_cpus(), len(points)) if len(out) >= _SHARED_ROWS else 1
     group = max(1, _COLUMN_GROUP // cpus)
     tops = range(0, len(points), group)
+    pending = iter(tops)
+    taking = threading.Lock()
 
-    def run(_, top):
-        cols = slice(top, top + group)
-        copies = [a[:, cols].T.copy() for a in arrays]
-        for k, t in enumerate(points[cols]):
-            out[:, top + k] = fn(t, *(c[k] for c in copies))
+    def run():
+        while True:
+            with taking:
+                top = next(pending, None)
+            if top is None:
+                return
+            copies = x[:, top:top + group].T.copy()
+            for k, t in enumerate(points[top:top + group]):
+                j = top + k
+                out[:, j] = fn(t, copies[k], *(a[:, j] for a in aux))
 
-    share(tops, run, min(cpus, len(tops)))
+    n_threads = min(cpus, len(tops))
+    if n_threads == 1:
+        run()
+        return out
+    with ThreadPoolExecutor(n_threads - 1) as pool:
+        workers = [pool.submit(run) for _ in range(n_threads - 1)]
+        run()
+    for worker in workers:
+        worker.result()
     return out
 
 
@@ -91,11 +121,13 @@ def merge(copula: CopulaEnsemble, family: MarginalFamily) -> ProcessEnsemble:
     With Uniform[0, 1] marginals the output reproduces the copula paths
     bit for bit, because the identity quantile is exact.  The quantile is
     called once per grid time on a contiguous copy of the column; from
-    4096 paths on, groups of columns are shared among one thread per CPU
-    in the affinity mask (``taskset`` is the only control), and the values
-    are those of a loop over the strided columns for any CPU count.  The
-    family's hooks, and callables such as a ``scale`` or ``mean`` of t,
-    may therefore run on several threads at once and must be pure.
+    4096 paths on, groups of columns are shared among the calling thread
+    and one more thread per further CPU in the affinity mask (``taskset``
+    is the only control), and the values are those of a loop over the
+    strided columns for any CPU count.  This is the library's one place
+    that shares work: each column runs whole on one thread.  The family's
+    hooks, and callables such as a ``scale`` or ``mean`` of t, may
+    therefore run on several threads at once and must be pure.
     """
     _check_family_grid(family, copula.grid)
     out = _columnwise(copula.grid.points, family.quantile,
@@ -119,11 +151,12 @@ def extract_copula(process: ProcessEnsemble, family: MarginalFamily,
     than a fresh draw of that path's substream, is rejected.  Continuous
     families ignore ``aux``.  ``aux_seed`` is validated, and recorded as
     the ensemble seed, for every family.  As in ``merge``, the family is
-    called once per grid time on contiguous copies of the columns, in
-    groups shared among one thread per CPU in the affinity mask, with the
-    values of a loop over the strided columns; the hooks and time
-    callables may run on several threads at once and must be pure.  The
-    result is clipped to [0, 1] in place.
+    called once per grid time on a contiguous copy of the column, with
+    the auxiliary uniforms read as strided columns, in groups shared among
+    the calling thread and one more thread per further CPU in the affinity
+    mask, with the values of a loop over the strided columns; the hooks
+    and time callables may run on several threads at once and must be
+    pure.  The result is clipped to [0, 1] in place.
 
     With ``overwrite_process`` set, in the manner of SciPy's
     ``overwrite_a``, the result is written over ``process.paths`` instead,

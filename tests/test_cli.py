@@ -14,7 +14,7 @@ from copulaproc import (CopulaModel, ExperimentConfig, ExponentialScale, Gaussia
                         LognormalMixing, Pareto, ScaleMixtureGaussian, Uniform,
                         make_uniform_grid, merge, sample_comonotone,
                         sample_elliptical_copula)
-from copulaproc import cli
+from copulaproc import cli, sklar
 from copulaproc.cli import main
 from copulaproc.marginals import FAMILY_KINDS
 
@@ -114,6 +114,26 @@ def test_rerun_is_byte_identical_across_thread_counts(tmp_path):
     for name in ("ensemble.csv", "manifest.json"):
         with open(out1 / name, "rb") as f1, open(out2 / name, "rb") as f2:
             assert f1.read() == f2.read()
+
+
+def test_simulate_scale_mixture_is_byte_identical_on_one_and_two_cpus(tmp_path, monkeypatch):
+    # 4,099 paths are shared in column groups on two CPUs, and the elliptical
+    # sampler calls the mixture kernel on the whole matrix
+    cfg = {
+        "grid": {"a": 0.5, "b": 1.5, "m": 9},
+        "model": {"variant": "elliptical", "hurst": 0.4},
+        "family": {"kind": "scale_mixture_gaussian", "scale": 1.5},
+        "n_paths": 4099,
+        "seed": 5,
+    }
+    written = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(sklar, "usable_cpus", lambda: cpus)
+        rc, outdir = _run(tmp_path, "simulate", cfg, outname=f"cpus{cpus}")
+        assert rc == 0
+        with open(outdir / "ensemble.csv", "rb") as fh:
+            written.append(fh.read())
+    assert written[0] == written[1]
 
 
 def test_seed_override_lands_in_manifest(tmp_path):

@@ -10,6 +10,7 @@ from copulaproc import (CopulaModel, InvalidArgumentError, LognormalMixing,
                         make_uniform_grid, sample_archimedean_clayton,
                         sample_comonotone, sample_elliptical_copula,
                         sample_fbm_copula, sample_independence)
+from copulaproc import rng
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
 
@@ -160,6 +161,33 @@ def test_clayton_dependence_increases_with_theta():
     c_weak = np.corrcoef(weak.paths[:, 0], weak.paths[:, 8])[0, 1]
     c_strong = np.corrcoef(strong.paths[:, 0], strong.paths[:, 8])[0, 1]
     assert c_strong > c_weak > 0.0
+
+
+def test_clayton_strong_dependence_keeps_the_overflowing_entries():
+    # at theta = 1000 some Gamma(1/theta) frailties M fall below 1e-308, so
+    # E / M overflows and (1 + E / M)**(-1/theta) would give exact zeros
+    grid, theta = make_uniform_grid(0.0, 1.0, 33), 1000.0
+    frailties = []
+
+    def draw(gen):
+        frailty = gen.standard_gamma(1.0 / theta)
+        while frailty == 0.0:
+            frailty = gen.standard_gamma(1.0 / theta)
+        frailties.append(frailty)
+        return gen.standard_exponential(grid.m)
+
+    e = rng.path_rows(1, 2000, grid.m, draw)
+    m = np.array(frailties)[:, None]
+    with np.errstate(over="ignore"):
+        ratio = e / m
+    over = np.isinf(ratio)
+    assert over.any()
+    got = sample_archimedean_clayton(grid, theta, 2000, seed=1).paths
+    assert np.array_equal(got[~over], (1.0 + ratio[~over]) ** (-1.0 / theta))
+    # log(1 + E / M) = log E - log M + log1p(M / E)
+    exact = np.exp(-(np.log(e) - np.log(m) + np.log1p(m / e)) / theta)
+    assert_allclose(got[over], exact[over], rtol=1e-15)
+    assert got.min() > 0.4
 
 
 def test_frechet_upper_bound():

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         UnsupportedOperationError, empirical_family_from_csv,
                         empirical_family_to_csv, make_uniform_grid, merge,
                         pathspace_wasserstein_same_copula, sample_comonotone)
-from copulaproc import _parallel, _quadrature, marginals
+from copulaproc import _quadrature, marginals, sklar
 from copulaproc.marginals import FAMILY_KINDS
 
 U_LAT = np.linspace(1e-6, 1.0 - 1e-6, 501)
@@ -359,84 +358,6 @@ def test_scale_mixture_blocks_keep_the_65536_row_values_bitwise(tmp_path):
         assert np.array_equal(fam.pdf(0.0, x), ref[f"pdf{n}"]), n
 
 
-#: MIXTURE_SIZES, one whole block, two blocks with the fold, and one run
-#: of 65536 (32 blocks)
-WORKER_SIZES = (*MIXTURE_SIZES, 2048, 4097, 65536)
-
-
-def _mixture_values(seed):
-    """cdf, pdf and quantile of a fresh mixture, its table included."""
-    marginals._unit_law.cache_clear()
-    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=2.0)
-    rng = np.random.default_rng(seed)
-    shapes = [(n,) for n in WORKER_SIZES] + [(3, 4097)]
-    values = []
-    for shape in shapes:
-        x = 3.0 * rng.standard_normal(shape)
-        u = rng.uniform(0.0, 1.0, shape)
-        values += [fam.cdf(0.5, x), fam.pdf(0.5, x), fam.quantile(0.5, u)]
-    return values
-
-
-@pytest.fixture(scope="module")
-def one_cpu_mixture_values():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_parallel, "usable_cpus", lambda: 1)
-        return _mixture_values(31)
-
-
-@pytest.mark.parametrize("cpus", [2, 3, 5])
-def test_scale_mixture_values_do_not_depend_on_the_cpu_count(
-        monkeypatch, one_cpu_mixture_values, cpus):
-    # each row's value depends only on its 2048-row block, so cutting the
-    # block list into one run per CPU changes no bit.  Runs share only the
-    # output array; a short switch interval makes their threads interleave
-    # often, so rows written by the wrong run, or not at all, would show.
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
-    started = []
-    thread = threading.Thread
-
-    def spy(*args, **kwargs):
-        started.append(1)
-        return thread(*args, **kwargs)
-
-    monkeypatch.setattr(_parallel.threading, "Thread", spy)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        values = _mixture_values(31)
-    finally:
-        sys.setswitchinterval(interval)
-    for got, want in zip(values, one_cpu_mixture_values, strict=True):
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-    assert started
-
-
-def test_scale_mixture_worker_exception_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 3)
-    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
-    caller = threading.get_ident()
-    raised = []
-    worker_raised = threading.Event()
-
-    def func(block):
-        if threading.get_ident() != caller:
-            raised.append(LookupError("raised in a worker"))
-            worker_raised.set()
-            raise raised[-1]
-        # blocks go to whichever thread asks first: the caller holds its
-        # first one until a worker has taken another
-        worker_raised.wait(10.0)
-        return block
-
-    running = threading.active_count()
-    with pytest.raises(LookupError, match="raised in a worker") as info:
-        fam._f0_block(np.zeros(3 * 2048), func)
-    assert any(info.value is exc for exc in raised)
-    assert threading.active_count() == running
-
-
 def _two_pass_newton_quantile(fam, t, u):
     """The mixture quantile as a reference: a linear interpolation on F0 at
     16,385 nodes over [-z_max, z_max], then 4 Newton steps on every entry,
@@ -555,7 +476,7 @@ def test_scale_mixture_merge_stores_no_quantile():
 def test_scale_mixture_merge_builds_its_quantile_table_once(monkeypatch):
     # on two CPUs the first column group of each thread asks for the table
     # at the same time; both used to build it
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sklar, "usable_cpus", lambda: 2)
     tables = []
     cdf0_pdf0 = ScaleMixtureGaussian._cdf0_pdf0
 

@@ -14,7 +14,7 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         check_moment_condition, empirical_family_from_ensemble,
                         extract_copula, make_uniform_grid, merge,
                         sample_comonotone, sample_fbm_copula)
-from copulaproc import _parallel, rng, sklar
+from copulaproc import rng, sklar
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
 
@@ -95,7 +95,7 @@ def started_threads(monkeypatch):
         started.append(1)
         return thread(*args, **kwargs)
 
-    monkeypatch.setattr(_parallel.threading, "Thread", spy)
+    monkeypatch.setattr(threading, "Thread", spy)
     return started
 
 
@@ -108,10 +108,10 @@ def test_column_groups_match_the_loop_for_any_cpu_count(
     grid = make_uniform_grid(1.0, 2.0, m)
     cop = sample_fbm_copula(grid, 0.5, 4100, seed=m)
     for family in _column_group_families(grid):
-        monkeypatch.setattr(_parallel, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(sklar, "usable_cpus", lambda: 1)
         want = _loop_merge(cop, family)
         want_back = _loop_extract(ProcessEnsemble(grid, want), family, 7)
-        monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sklar, "usable_cpus", lambda: cpus)
         ens = merge(cop, family)
         assert np.array_equal(ens.paths, want), family.kind
         back = extract_copula(ens, family, aux_seed=7)
@@ -121,21 +121,19 @@ def test_column_groups_match_the_loop_for_any_cpu_count(
 def test_shared_work_writes_no_thread_affinity(monkeypatch, started_threads):
     # the scheduler places the threads; neither the caller's mask nor a
     # worker's is ever set
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sklar, "usable_cpus", lambda: 2)
     calls = []
     monkeypatch.setattr(os, "sched_setaffinity",
                         lambda *args: calls.append(args), raising=False)
     cop = sample_fbm_copula(make_uniform_grid(1.0, 2.0, 9), 0.5, 4096, seed=2)
     merge(cop, GaussianScale(1.5))
-    family = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
-    family.cdf(0.0, np.zeros(4 * 2048))
-    # one executor worker beside the caller in each call
-    assert len(started_threads) == 2
+    # one executor worker beside the caller
+    assert len(started_threads) == 1
     assert calls == []
 
 
 def test_column_group_error_in_a_worker_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(sklar, "usable_cpus", lambda: 3)
     caller = threading.get_ident()
     raised = []
     worker_raised = threading.Event()
@@ -161,25 +159,17 @@ def test_column_group_error_in_a_worker_reaches_the_caller(monkeypatch):
 @pytest.mark.parametrize("rows, threads", [(4095, 0), (4096, 1)])
 def test_column_groups_are_shared_from_4096_rows(monkeypatch, started_threads,
                                                  rows, threads):
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sklar, "usable_cpus", lambda: 2)
     cop = sample_comonotone(make_uniform_grid(1.0, 2.0, 9), rows, seed=1)
     merge(cop, Pareto(1.0, 4.0))
     assert len(started_threads) == threads
 
 
-def test_mixture_inside_a_column_group_starts_no_threads(monkeypatch, started_threads):
-    # 4100 rows are three mixture blocks, which the kernel alone would
-    # split between the two CPUs; inside a column group it runs them inline
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 2)
-    grid = make_uniform_grid(1.0, 2.0, 17)
-    family = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=lambda t: t)
-    family.cdf(1.0, np.zeros(4100))
-    assert len(started_threads) == 1
-    started_threads.clear()
-    ens = merge(sample_fbm_copula(grid, 0.5, 4100, seed=3), family)
-    extract_copula(ens, family, aux_seed=1)
-    # one executor worker per call beside the caller
-    assert len(started_threads) == 2
+def test_scale_mixture_kernel_starts_no_thread(monkeypatch, started_threads):
+    # four 2048-row blocks on two CPUs run on the calling thread
+    monkeypatch.setattr(sklar, "usable_cpus", lambda: 2)
+    ScaleMixtureGaussian(LognormalMixing(0.0, 0.5)).cdf(0.0, np.zeros(4 * 2048))
+    assert started_threads == []
 
 
 def test_atomic_extraction_writes_over_its_auxiliary_uniforms():
@@ -243,7 +233,7 @@ def test_shared_aux_matches_the_loop_for_any_cpu_count(
     # 4095 rows stay on the caller; 4100 go to column groups on each thread
     ens = _tied_ensemble(rows, 17)
     aux, before = _read_only_aux(7, ens)
-    monkeypatch.setattr(_parallel, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sklar, "usable_cpus", lambda: cpus)
     for family in _shared_aux_families(ens):
         shared = extract_copula(ens, family, aux_seed=7, aux=aux)
         assert np.array_equal(shared.paths, _loop_extract(ens, family, 7)), family.kind
