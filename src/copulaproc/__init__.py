@@ -20,9 +20,7 @@ from .kl import (KLDecomposition, empirical_covariance, kl_expand,
 from .marginals import (Empirical, ExponentialScale, GaussianScale,
                         LognormalMixing, MarginalFamily, Pareto,
                         ScaleMixtureGaussian, Uniform,
-                        empirical_family_from_csv,
-                        empirical_family_from_ensemble,
-                        empirical_family_to_csv)
+                        empirical_family_from_ensemble)
 from .robustness import (AssumptionReport, CopulaBoundReport, ExperimentConfig,
                          ExperimentReport, ExperimentRow, RobustnessParams,
                          RobustnessReport, check_assumption, constant_K,
@@ -32,36 +30,30 @@ from .robustness import (AssumptionReport, CopulaBoundReport, ExperimentConfig,
                          pareto_minorant_params, rho)
 from .sklar import (MomentReport, ProcessEnsemble, check_moment_condition,
                     extract_copula, merge)
-from .transport import (ConsistencyReport, TransportReport, attach_mc_check,
-                        basis_path_consistency_check, mc_coupling_cost,
-                        optimal_coupling, pathspace_wasserstein_same_copula,
-                        wasserstein1d_empirical, wasserstein1d_quantile,
-                        weighted_cosine_basis)
+from .transport import (TransportReport, attach_mc_check, mc_coupling_cost,
+                        pathspace_wasserstein_same_copula,
+                        wasserstein1d_empirical, wasserstein1d_quantile)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionReport", "AssumptionViolatedError", "ConsistencyReport",
-    "CopulaBoundReport", "CopulaEnsemble", "CopulaModel", "CopulaProcessError",
-    "Empirical", "ExperimentConfig", "ExperimentReport", "ExperimentRow",
-    "ExponentialScale", "GaussianScale", "InvalidArgumentError",
-    "KLDecomposition", "LognormalMixing", "MarginalFamily", "MomentReport",
-    "NumericFailureError", "Pareto", "ProcessEnsemble", "RobustnessParams",
-    "RobustnessReport", "ScaleMixtureGaussian", "TimeGrid", "TransportReport",
-    "Uniform", "UnsupportedOperationError", "attach_mc_check",
-    "basis_path_consistency_check", "check_assumption",
+    "AssumptionReport", "AssumptionViolatedError", "CopulaBoundReport",
+    "CopulaEnsemble", "CopulaModel", "CopulaProcessError", "Empirical",
+    "ExperimentConfig", "ExperimentReport", "ExperimentRow", "ExponentialScale",
+    "GaussianScale", "InvalidArgumentError", "KLDecomposition",
+    "LognormalMixing", "MarginalFamily", "MomentReport", "NumericFailureError",
+    "Pareto", "ProcessEnsemble", "RobustnessParams", "RobustnessReport",
+    "ScaleMixtureGaussian", "TimeGrid", "TransportReport", "Uniform",
+    "UnsupportedOperationError", "attach_mc_check", "check_assumption",
     "check_moment_condition", "cholesky_with_jitter", "constant_K",
     "copula_distance_bound", "empirical_copula_cdf", "empirical_covariance",
-    "empirical_family_from_csv", "empirical_family_from_ensemble",
-    "empirical_family_to_csv", "evaluate_bound", "extract_copula",
+    "empirical_family_from_ensemble", "evaluate_bound", "extract_copula",
     "fbm_covariance", "gaussian_minorant_params", "grid_from_points",
     "integrate", "kl_expand", "kl_from_ensemble", "make_uniform_grid",
-    "mc_coupling_cost", "merge", "optimal_coupling",
-    "pareto_constant_bound", "pareto_elliptical_experiment",
-    "pareto_minorant_params",
+    "mc_coupling_cost", "merge", "pareto_constant_bound",
+    "pareto_elliptical_experiment", "pareto_minorant_params",
     "pathspace_wasserstein_same_copula", "rho", "sample_archimedean_clayton",
     "sample_comonotone", "sample_elliptical_copula", "sample_fbm_copula",
     "sample_independence", "tail_energy", "truncate",
     "wasserstein1d_empirical", "wasserstein1d_quantile",
-    "weighted_cosine_basis",
 ]

@@ -125,6 +125,8 @@ def elliptical_pretransform(grid: TimeGrid, hurst: float, mixing: LognormalMixin
     V is the unit-variance Gaussian process with the fBm correlation
     R(s, t) = cov(s, t) / (s t)**hurst.  Each path consumes one uniform
     (for S through the mixing quantile) followed by m standard normals.
+    That uniform is clipped to [1e-16, 1 - 1e-16] before the quantile, so
+    S stays finite and positive.
     """
     hurst = _check_gaussian_args(grid, hurst, "elliptical")
     family = ScaleMixtureGaussian(mixing)  # rejects mixings without E[1/S], E[S**2]

@@ -10,10 +10,6 @@ so ``quantile(t, u) <= x`` iff ``u <= cdf(t, x)`` including at atoms.  The
 distributional transform F_t(x-) + v * (F_t(x) - F_t(x-)) turns samples of
 any law, atomic or not, into exact uniforms when v is an independent
 uniform.
-
-Families with unbounded support clamp quantile queries at u in {0, 1} to
-the tail levels 1e-12 and 1 - 1e-12; the level is fixed and is not a
-parameter.  Finite support endpoints are returned exactly.
 """
 
 from __future__ import annotations
@@ -27,8 +23,7 @@ from scipy.special import ndtr, ndtri, roots_legendre
 
 from .errors import (InvalidArgumentError, NumericFailureError, UnsupportedOperationError,
                      check_array, check_float, holds_text_or_bool)
-from .grid import TimeGrid, grid_from_points
-from .serialize import write_matrix_csv
+from .grid import TimeGrid
 
 _TAIL_EPS = 1e-12
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -81,7 +76,8 @@ class MarginalFamily:
     kind: str = "abstract"
     #: the scale keyword that a config's ``power_law_hurst`` replaces
     power_law_key: str | None = None
-    #: no atoms, and a density
+    #: no atoms, and a density, at every time whose support is more than
+    #: one point
     is_continuous: bool = False
     #: the law is the same at every t, so per-time quadratures integrate once
     time_invariant: bool = False
@@ -96,8 +92,9 @@ class MarginalFamily:
         raise NotImplementedError
 
     def _cdf_left(self, t: float, x: np.ndarray) -> np.ndarray:
-        # continuous families have no atoms
-        return self._cdf(t, x)
+        # continuous families have no atoms, bar a support of one point
+        lo, hi = self.support(t)
+        return (x > lo).astype(float) if lo == hi else self._cdf(t, x)
 
     def _cdf_limits(self, t: float, x: np.ndarray):
         """(F_t(x-), F_t(x)), the two limits the distributional transform uses."""
@@ -168,6 +165,9 @@ class MarginalFamily:
         return self._evaluate(self._cdf_left, t, x)
 
     def quantile(self, t, u):
+        """Q_t(u) for u in [0, 1].  On an unbounded side of the support,
+        u = 0 and u = 1 are read as ``_TAIL_EPS`` = 1e-12 and 1 - 1e-12, a
+        fixed level and no parameter; a finite end is returned exactly."""
         arr = np.atleast_1d(check_array(u, "u", 0.0, 1.0))
         t = float(t)
         lo, hi = self.support(t)
@@ -739,27 +739,6 @@ class Empirical(MarginalFamily):
 def empirical_family_from_ensemble(ensemble) -> Empirical:
     """Column-wise empirical marginal family of a process ensemble."""
     return Empirical(ensemble.grid, ensemble.paths.T)
-
-
-def empirical_family_to_csv(family: Empirical, path) -> None:
-    """One column per grid point; the header row holds the grid times."""
-    if not isinstance(family, Empirical):
-        raise InvalidArgumentError("only empirical families serialize to CSV")
-    write_matrix_csv(path, family.grid.points, family._columns.T)
-
-
-def empirical_family_from_csv(path) -> Empirical:
-    """Inverse of ``empirical_family_to_csv``; grid weights are trapezoid."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.strip().split(",") for ln in fh if ln.strip()]
-    if len(rows) < 2:
-        raise InvalidArgumentError(f"{path}: need a header row and at least one sample row")
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise InvalidArgumentError(f"{path}: inconsistent column count")
-    # as objects, the text cells reach numpy's float parse, which
-    # check_array refuses to apply to a str array
-    table = check_array(np.array(rows, dtype=object), f"cells of {path}")
-    return Empirical(grid_from_points(table[0]), table[1:].T)
 
 
 #: config ``kind`` tag -> family class, for every family a config can build

@@ -142,15 +142,19 @@ def extract_copula(process: ProcessEnsemble, family: MarginalFamily,
 
     Continuous families use U_t = F_t(X_t); families with atoms use
     F_t(x-) + V (F_t(x) - F_t(x-)) with per-entry auxiliary uniforms V
-    from per-path substreams of ``aux_seed``.  Without ``aux`` they draw V
-    as ``rng.uniform_rows(aux_seed, n_paths, m)`` and write the result
-    over it.  A caller that extracts several ensembles of the same shape
+    from per-path substreams of ``aux_seed``.  A continuous family whose
+    support is a single point at some grid time, as ``GaussianScale(0.0)``
+    or ``GaussianScale.power_law(h)`` at t = 0, has an atom there and goes
+    the second way, where F_t alone would give 1 in every entry of that
+    column.  Without ``aux`` the families with atoms draw V as
+    ``rng.uniform_rows(aux_seed, n_paths, m)`` and write the result over
+    it.  A caller that extracts several ensembles of the same shape
     under one seed may draw that matrix once and pass it as ``aux``: it is
     read, never written, and the result goes to a fresh matrix, with the
     same values bit for bit.  A wrong shape, or a first or last row other
-    than a fresh draw of that path's substream, is rejected.  Continuous
-    families ignore ``aux``.  ``aux_seed`` is validated, and recorded as
-    the ensemble seed, for every family.  As in ``merge``, the family is
+    than a fresh draw of that path's substream, is rejected.  Families
+    without atoms ignore ``aux``.  ``aux_seed`` is validated, and recorded
+    as the ensemble seed, for every family.  As in ``merge``, the family is
     called once per grid time on a contiguous copy of the column, with
     the auxiliary uniforms read as strided columns, in groups shared among
     the calling thread and one more thread per further CPU in the affinity
@@ -172,7 +176,8 @@ def extract_copula(process: ProcessEnsemble, family: MarginalFamily,
         raise InvalidArgumentError(
             "overwrite_process needs paths that own their memory, got a view")
     out = None
-    if family.is_continuous:
+    points = process.grid.points
+    if family.is_continuous and all(lo < hi for lo, hi in map(family.support, points)):
         fn, arrays = family.cdf, (paths,)
     else:
         if aux is None:
@@ -183,8 +188,7 @@ def extract_copula(process: ProcessEnsemble, family: MarginalFamily,
     if overwrite_process:
         paths.setflags(write=True)
         out = paths
-    out = _columnwise(process.grid.points, fn,
-                      np.empty_like(paths) if out is None else out, *arrays)
+    out = _columnwise(points, fn, np.empty_like(paths) if out is None else out, *arrays)
     np.clip(out, 0.0, 1.0, out=out)
     return CopulaEnsemble(process.grid, out, aux_seed,
                           f"extracted({family.kind})")

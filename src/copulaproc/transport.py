@@ -29,11 +29,10 @@ import numpy as np
 
 from ._quadrature import (abs_power_gap, adaptive_unit_integral, merge_steps,
                           per_time_integrals, step_gap_integral, step_power_integral)
-from .copulas import CopulaEnsemble
-from .errors import InvalidArgumentError, NumericFailureError, check_array, check_int
+from .errors import InvalidArgumentError, check_array, check_int
 from .grid import TimeGrid, integrate
 from .marginals import MarginalFamily
-from .sklar import ProcessEnsemble, merge
+from .sklar import ProcessEnsemble
 
 _TRANSPORT_DELTA = 1e-9
 #: the highest supported order p
@@ -61,20 +60,6 @@ class TransportReport:
     per_t: np.ndarray
     mc_coupling_value: float | None = None
     gap: float | None = None
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Squared path-space distance versus its basis-coefficient form.
-
-    ``gap = path_side - basis_side``; for a complete orthonormal basis and
-    comonotone pairs the two sides agree up to rounding, and truncating the
-    basis can only lower ``basis_side``.
-    """
-
-    path_side: float
-    basis_side: float
-    gap: float
 
 
 def _quantile_gap(family_a: MarginalFamily, family_b: MarginalFamily, p: int):
@@ -175,61 +160,3 @@ def attach_mc_check(report: TransportReport, ens_x: ProcessEnsemble,
     return TransportReport(p=report.p, integrated=report.integrated,
                            per_t=report.per_t, mc_coupling_value=value,
                            gap=float(gap))
-
-
-def optimal_coupling(copula: CopulaEnsemble, family_a: MarginalFamily,
-                     family_b: MarginalFamily):
-    """The monotone coupling (Q_A(U), Q_B(U)) over a shared copula."""
-    return merge(copula, family_a), merge(copula, family_b)
-
-
-def weighted_cosine_basis(grid: TimeGrid, n_basis: int) -> np.ndarray:
-    """Orthonormal columns against <f, g> = sum_j w_j f_j g_j.
-
-    Starts from cosines cos(k pi (t - a)/(b - a)) and applies modified
-    Gram-Schmidt with one reorthogonalization pass.
-    """
-    n_basis = check_int(n_basis, "n_basis", 1, grid.m)
-    tau = (grid.points - grid.a) / (grid.b - grid.a)
-    raw = np.cos(np.pi * np.outer(tau, np.arange(n_basis)))
-    w = grid.weights
-    basis = np.empty_like(raw)
-    for k in range(n_basis):
-        v = raw[:, k].copy()
-        for _ in range(2):  # second pass controls rounding loss
-            for i in range(k):
-                v -= (w * basis[:, i]) @ v * basis[:, i]
-        norm = np.sqrt((w * v) @ v)
-        if not norm > 1e-12:
-            raise NumericFailureError(
-                f"cosine basis vector {k} lost rank during orthonormalization")
-        basis[:, k] = v / norm
-    return basis
-
-
-def basis_path_consistency_check(ens_x: ProcessEnsemble, ens_y: ProcessEnsemble,
-                                 n_basis: int) -> ConsistencyReport:
-    """Compare int_T W_2**2 dt against summed coefficient distances.
-
-    The path side integrates per-time squared empirical W_2 between the
-    column samples.  The basis side projects every path on the weighted
-    cosine basis and sums squared empirical W_2 between the coefficient
-    samples.  Equality requires the monotone (shared-copula) coupling and
-    a complete basis; a truncated basis can only fall short.
-    """
-    check_coupled(ens_x, ens_y)
-    grid = ens_x.grid
-    per_t = np.array([
-        wasserstein1d_empirical(ens_x.paths[:, j], ens_y.paths[:, j], 2) ** 2
-        for j in range(grid.m)])
-    path_side = integrate(grid, per_t)
-    basis = weighted_cosine_basis(grid, n_basis)
-    proj = grid.weights[:, None] * basis  # (m, n_basis)
-    scores_x = ens_x.paths @ proj
-    scores_y = ens_y.paths @ proj
-    basis_side = float(sum(
-        wasserstein1d_empirical(scores_x[:, k], scores_y[:, k], 2) ** 2
-        for k in range(basis.shape[1])))
-    return ConsistencyReport(path_side=float(path_side),
-                             basis_side=basis_side,
-                             gap=float(path_side - basis_side))

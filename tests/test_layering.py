@@ -1,17 +1,25 @@
-"""Modules of the package reach each other only through public names.
+"""Modules of the package reach each other only through public names, and
+only in one direction.
 
 A name with a leading underscore belongs to the module that defines it.
 Another module may neither import it (``from .m import _name``) nor read
 it off an object (``obj._name``) unless it defines that name itself, as a
 class does for attributes read from another instance of the class.
+
+The modules form one ordered list, ``LAYERS``: each imports only modules
+before it, so the numeric layers never reach the I/O of ``serialize`` or
+the CLI.
 """
 
 import ast
 import glob
 import os
+import re
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "copulaproc")
+import copulaproc
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "copulaproc")
 
 
 def _private(name):
@@ -69,3 +77,58 @@ def test_checker_flags_private_imports_and_reads(tmp_path):
         "    return family._theirs\n")
     assert layering_violations(source) == [(1, "imports _hidden"),
                                            (8, "reads ._theirs")]
+
+
+#: every module of the package, each importing only modules before it
+LAYERS = ("errors", "grid", "rng", "_quadrature", "marginals", "copulas", "sklar",
+          "kl", "transport", "robustness", "serialize", "_kstest", "__init__",
+          "cli", "__main__")
+
+
+def imported_modules(path):
+    """Package modules a module names in its relative imports; a name that
+    ``from . import`` takes off the package itself counts as ``__init__``."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module is not None:
+                found.add(node.module)
+            else:
+                found |= {alias.name if alias.name in LAYERS else "__init__"
+                          for alias in node.names}
+    return found
+
+
+def test_each_module_imports_only_the_modules_before_it():
+    names = sorted(os.path.basename(path)[:-3]
+                   for path in glob.glob(os.path.join(SRC, "*.py")))
+    assert names == sorted(LAYERS)
+    upward = [f"{name} imports {other}" for i, name in enumerate(LAYERS)
+              for other in sorted(imported_modules(os.path.join(SRC, name + ".py")))
+              if other not in LAYERS[:i]]
+    assert upward == []
+
+
+def readme_public_names():
+    """The names of each bullet of the README's "Public names" section, as
+    (deleted, kept only by tests): the backquoted names before its colon."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Public names\n")[1].split("\n## ")[0]
+    deleted, kept = section.split("\nKept although only tests call them:\n")
+    return [{name for line in part.splitlines() if line.startswith("- ")
+             for name in re.findall(r"`(\w+)`", line.split(":")[0])}
+            for part in (deleted, kept)]
+
+
+def test_readme_records_the_public_names_kept_and_deleted():
+    deleted, kept = readme_public_names()
+    assert deleted and kept
+    assert kept <= set(copulaproc.__all__)
+    sources = ""
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            sources += fh.read()
+    assert not {name for name in deleted
+                if name in copulaproc.__all__ or name in sources}

@@ -11,8 +11,7 @@ from scipy.special import ndtr, ndtri, roots_legendre
 from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         InvalidArgumentError, LognormalMixing, NumericFailureError, Pareto,
                         ScaleMixtureGaussian, Uniform,
-                        UnsupportedOperationError, empirical_family_from_csv,
-                        empirical_family_to_csv, make_uniform_grid, merge,
+                        UnsupportedOperationError, make_uniform_grid, merge,
                         pathspace_wasserstein_same_copula, sample_comonotone)
 from copulaproc import _quadrature, marginals, sklar
 from copulaproc.marginals import FAMILY_KINDS
@@ -204,42 +203,6 @@ def test_empirical_distributional_transform_sorts_once(monkeypatch):
     left = np.searchsorted(col, x, side="left") / col.size
     right = np.searchsorted(col, x, side="right") / col.size
     assert np.array_equal(out, left + v * (right - left))
-
-
-def _every_text_layout(rng):
-    """Negative values, 0.000ddd, d.ddde-XX and e+XX forms, integers, >= 1e16."""
-    return np.concatenate([
-        -rng.exponential(size=(3, 5)), rng.uniform(1e-4, 1e-3, (3, 5)),
-        rng.uniform(0.0, 1e-4, (3, 5)), -rng.uniform(0.0, 1e-12, (3, 5)),
-        rng.integers(-10**6, 10**6, (3, 5)).astype(float),
-        1e16 * (1.0 + 9.0 * rng.uniform(size=(3, 5))), 1e17 * rng.uniform(1.0, 1e3, (3, 5)),
-        rng.standard_normal((3, 5)) * 10.0 ** rng.integers(-12, 19, (3, 5))], axis=1)
-
-
-def test_empirical_csv_roundtrip_exact(tmp_path):
-    g = make_uniform_grid(0.25, 0.75, 3)
-    rng = np.random.default_rng(5)
-    for draw in (rng.standard_normal((3, 40)), _every_text_layout(rng)):
-        fam = Empirical(g, draw)
-        path = tmp_path / "emp.csv"
-        empirical_family_to_csv(fam, path)
-        back = empirical_family_from_csv(path)
-        assert back.grid == fam.grid
-        for t in g.points:
-            assert np.array_equal(back.column(t), fam.column(t))
-
-
-@pytest.mark.parametrize("text, message", [
-    ("0.25,0.5,0.75\n1,2,3\n4,5\n", "inconsistent column count"),
-    ("0.25,0.5,0.75\n1,2,3\n4,x,6\n", "must hold numbers"),
-], ids=["ragged row", "text cell"])
-def test_empirical_csv_refuses_a_ragged_row_or_a_text_cell(tmp_path, text, message):
-    # numpy's own ValueError used to escape before either check
-    path = tmp_path / "emp.csv"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(InvalidArgumentError, match=message) as info:
-        empirical_family_from_csv(path)
-    assert str(path) in str(info.value)
 
 
 def test_distributional_transform_atomic_uniformity():

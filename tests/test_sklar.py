@@ -13,7 +13,7 @@ from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         ProcessEnsemble, ScaleMixtureGaussian, Uniform,
                         check_moment_condition, empirical_family_from_ensemble,
                         extract_copula, make_uniform_grid, merge,
-                        sample_comonotone, sample_fbm_copula)
+                        sample_comonotone, sample_fbm_copula, sample_independence)
 from copulaproc import rng, sklar
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
@@ -433,6 +433,32 @@ def test_extracted_copula_is_uniform():
     for j in (0, 4, 8):
         d = stats.kstest(back.paths[:, j], "uniform").statistic
         assert d <= 1.63 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("family, n_point_masses", [
+    (GaussianScale(0.0), 5),
+    (GaussianScale(0.0, mean=-1.5), 5),
+    (ExponentialScale(0.0), 5),
+    (GaussianScale.power_law(2.0), 1),
+], ids=["gaussian", "gaussian_shifted", "exponential", "power_law_at_0"])
+def test_point_mass_columns_extract_to_uniforms(family, n_point_masses):
+    # F_t is 1 on every sample of a point mass, which used to fill its
+    # column with ones; the other columns keep U_t = F_t(X_t) bit for bit
+    n = 4_000
+    grid = make_uniform_grid(0.0, 1.0, 5)
+    ens = merge(sample_independence(grid, n, seed=23), family)
+    back = extract_copula(ens, family, aux_seed=29)
+    point_masses = 0
+    for j, t in enumerate(grid.points):
+        lo, hi = family.support(t)
+        if lo == hi:
+            point_masses += 1
+            d = stats.kstest(back.paths[:, j], "uniform").statistic
+            assert d <= 1.63 / np.sqrt(n), t
+        else:
+            want = np.clip(family.cdf(t, ens.paths[:, j]), 0.0, 1.0)
+            assert np.array_equal(back.paths[:, j], want), t
+    assert point_masses == n_point_masses
 
 
 def test_merged_marginals_follow_family():

@@ -9,12 +9,11 @@ from numpy.testing import assert_allclose
 from copulaproc import (Empirical, ExponentialScale, GaussianScale,
                         InvalidArgumentError, LognormalMixing, Pareto,
                         ScaleMixtureGaussian, Uniform, attach_mc_check,
-                        basis_path_consistency_check, check_moment_condition,
-                        make_uniform_grid,
-                        mc_coupling_cost, merge, optimal_coupling,
+                        check_moment_condition, make_uniform_grid,
+                        mc_coupling_cost, merge,
                         pathspace_wasserstein_same_copula, sample_comonotone,
                         sample_fbm_copula, wasserstein1d_empirical,
-                        wasserstein1d_quantile, weighted_cosine_basis)
+                        wasserstein1d_quantile)
 from copulaproc import _quadrature
 
 GRID = make_uniform_grid(1.0, 2.0, 9)
@@ -273,7 +272,7 @@ def test_optimal_coupling_attains_wasserstein():
     cop = sample_comonotone(GRID, n, seed=7)
     a = GaussianScale(1.0)
     b = GaussianScale(2.0)
-    ex, ey = optimal_coupling(cop, a, b)
+    ex, ey = merge(cop, a), merge(cop, b)
     value, power_mean, power_se = mc_coupling_cost(ex, ey, p=2)
     rep = pathspace_wasserstein_same_copula(a, b, GRID, p=2)
     assert abs(power_mean - rep.integrated**2) <= 3.0 * power_se
@@ -316,27 +315,6 @@ def test_attach_mc_check_fills_fields():
     assert rep2.integrated == rep.integrated
 
 
-def test_weighted_cosine_basis_orthonormal():
-    basis = weighted_cosine_basis(GRID, 6)
-    gram = basis.T @ (GRID.weights[:, None] * basis)
-    assert_allclose(gram, np.eye(6), atol=1e-10)
-    # leading function is constant
-    assert np.ptp(basis[:, 0]) < 1e-12
-
-
-def test_basis_path_consistency():
-    n = 5_000
-    cop = sample_fbm_copula(GRID, 0.5, n, seed=21)
-    ex = merge(cop, GaussianScale(1.0))
-    ey = merge(cop, GaussianScale(2.0))
-    rep = basis_path_consistency_check(ex, ey, n_basis=GRID.m)
-    # with a complete basis both sides agree up to quadrature error
-    assert rep.path_side > 0.0
-    assert abs(rep.gap) <= 0.02 * rep.path_side
-    partial = basis_path_consistency_check(ex, ey, n_basis=3)
-    assert partial.basis_side <= rep.path_side + 1e-12
-
-
 def test_p_validation():
     fam = GaussianScale(1.0)
     with pytest.raises(InvalidArgumentError):
@@ -348,14 +326,11 @@ def test_p_validation():
 
 
 @pytest.mark.parametrize("call", [
-    lambda fam, ens: weighted_cosine_basis(GRID, True),
     lambda fam, ens: pathspace_wasserstein_same_copula(fam, GaussianScale(2.0), GRID, p=True),
     lambda fam, ens: pathspace_wasserstein_same_copula(fam, GaussianScale(2.0), GRID, p=2.0),
     lambda fam, ens: wasserstein1d_quantile(fam, GaussianScale(2.0), t=1.0, p=True),
     lambda fam, ens: mc_coupling_cost(ens, ens, True),
-    lambda fam, ens: basis_path_consistency_check(ens, ens, n_basis=True),
-], ids=["cosine_basis", "pathspace_bool", "pathspace_float", "quantile_bool",
-        "mc_cost_bool", "consistency_bool"])
+], ids=["pathspace_bool", "pathspace_float", "quantile_bool", "mc_cost_bool"])
 def test_integer_arguments_refuse_bools_and_floats(call):
     # each of these used to run with True as 1, and p = 2.0 as 2
     fam = GaussianScale(1.0)
@@ -372,8 +347,7 @@ def test_uncoupled_ensembles_get_one_message():
     coarser = merge(sample_fbm_copula(make_uniform_grid(1.0, 2.0, 5), 0.5, 8, seed=1), fam)
     for other in (fewer, coarser):
         for call in (lambda: check_coupled(ens, other),
-                     lambda: mc_coupling_cost(ens, other, 1),
-                     lambda: basis_path_consistency_check(ens, other, 3)):
+                     lambda: mc_coupling_cost(ens, other, 1)):
             with pytest.raises(InvalidArgumentError, match="ensembles are not coupled"):
                 call()
     check_coupled(ens, merge(sample_fbm_copula(GRID, 0.5, 8, seed=2), fam))
