@@ -75,6 +75,7 @@ def graded_midpoint_nodes(delta: float, n_nodes: int):
     return ladder[n_nodes]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -> float:
     """int_delta^{1-delta} f(u) du with node doubling, or +inf for a divergent end.
 
@@ -91,7 +92,9 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
     overflow, is divergent when a tail is +inf at its end node; any other
     NaN raises.  Each level takes its weights from the shared ladder and
     sums first; only a non-finite sum has its values scanned, and a
-    non-finite value raises ``NumericFailureError``.
+    non-finite value raises ``NumericFailureError``.  The rule reads every
+    such value itself, so f, the divergence test and the sums run with
+    overflow and invalid-value warnings off.
     """
     n = _START_NODES
     previous = None
@@ -110,10 +113,9 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
                     for h in tails or [vals]):
                 return float("inf")
         # the weights are positive, so a non-finite value makes the sum so;
-        # +inf and -inf sum to NaN without a warning, and the check below
-        # raises for it as for any other non-finite value
-        with np.errstate(invalid="ignore"):
-            total = float(w @ vals)
+        # +inf and -inf sum to NaN, and the check below raises for it as for
+        # any other non-finite value
+        total = float(w @ vals)
         if not np.isfinite(total) and not np.isfinite(vals).all():
             raise NumericFailureError("integrand produced non-finite values")
         if previous is not None and abs(total - previous) <= _REL_TOL * max(abs(total), 1e-300):
@@ -177,12 +179,14 @@ _GAUSS_X, _GAUSS_W = roots_legendre(_SEGMENT_NODES)
 _GAUSS_U, _GAUSS_CU, _GAUSS_W = (1.0 + _GAUSS_X) / 2.0, (1.0 - _GAUSS_X) / 2.0, _GAUSS_W / 2.0
 
 
+@np.errstate(over="ignore")
 def step_power_integral(levels, values, p: float) -> float:
     """int_0^1 |S(u)|**p du for the step function S of ``levels`` and ``values``.
 
     S equals values[i] on (levels[i-1], levels[i]], with the ends of the
     unit interval taking the places of levels[-1] and levels[n-1], so the
-    integral is a finite sum with no endpoint cut.
+    integral is a finite sum with no endpoint cut, and +inf once a term
+    overflows.
     """
     widths = np.diff(levels, prepend=0.0, append=1.0)
     return float(widths @ np.abs(values) ** p)
@@ -238,6 +242,7 @@ def _nodes_for(levels: bytes, delta) -> _StepNodes:
     return _StepNodes(np.frombuffer(levels), delta)
 
 
+@np.errstate(over="ignore")
 def step_gap_integral(levels, values, quantile, cdf, p: float, delta: float) -> float:
     """int_delta^{1-delta} |S(u) - Q(u)|**p du for a step S against a smooth Q.
 
@@ -249,7 +254,8 @@ def step_gap_integral(levels, values, quantile, cdf, p: float, delta: float) -> 
     nodes each, so the kink of |S - Q| lies on a boundary.  The two end
     segments, where Q may be unbounded, go through
     ``adaptive_unit_integral`` with |Q|**p as tails.  Q is called on shared
-    immutable arrays except at the split halves.
+    immutable arrays except at the split halves.  A gap that overflows
+    reads +inf, without a warning.
     """
     if values.size == 1:
         def one_value(u, cu):

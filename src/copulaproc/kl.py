@@ -10,7 +10,7 @@ the expected squared reconstruction error equals the tail eigenvalue sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg

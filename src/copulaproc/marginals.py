@@ -14,7 +14,6 @@ uniform.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,14 +34,18 @@ def _as_time_fn(value, name: str, **bounds):
 
     A constant is checked once, here, and returned as is at every t.  A
     callable's value is checked at each evaluation; a value it refuses
-    raises with the time appended, and one it passes formats no message.
+    raises with the time appended, and one it passes formats no message; a
+    callable that raises ``ArithmeticError`` at t is refused the same way.
     """
     if not callable(value):
         const = check_float(value, name, **bounds)
         return lambda t: const
 
     def checked(t):
-        v = value(t)
+        try:
+            v = value(t)
+        except ArithmeticError as exc:  # 0.0 ** -0.5, 2.0 ** 2000
+            raise InvalidArgumentError(f"{name} cannot be evaluated at t={t}: {exc}") from None
         try:
             return check_float(v, name, **bounds)
         except InvalidArgumentError as exc:
@@ -416,6 +419,7 @@ class LognormalMixing:
 
     Both required moments are finite for every parameter choice:
     E[1/S] = exp(-mu + sigma**2 / 2) and E[S**2] = exp(2 mu + 2 sigma**2).
+    ``ScaleMixtureGaussian`` refuses a mixing where either overflows a float.
     """
 
     mu: float = 0.0
@@ -446,6 +450,8 @@ class LognormalMixing:
 
 #: Gauss-Legendre nodes of the scale-mixture integral over the mixing quantile
 _MIX_NODES = 64
+#: log of the largest float: a moment exp(a) is finite iff a <= _LOG_MAX
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 def _read_only(*arrays):
@@ -454,29 +460,77 @@ def _read_only(*arrays):
     return arrays
 
 
-class _UnitLaw:
-    """What a scale mixture's unit law S * Z takes from its mixing alone: the
-    Gauss-Legendre weights and scales of the mixture integral, and the
-    quantile table, which the first family to ask builds under ``lock``.
-    Every array is read-only, as equal mixings share one law."""
+def _normal_cdf(block, scales):
+    return ndtr(block, out=block)
 
-    def __init__(self, mixing: LognormalMixing):
-        nodes, weights = roots_legendre(_MIX_NODES)
-        u = 0.5 * (nodes + 1.0)
-        scales = check_array(mixing.quantile(u), "mixing quantile", 0.0, lo_open=True)
-        self.weights, self.scales = _read_only(0.5 * weights, scales)
-        self.table = None
-        self.lock = threading.Lock()
+
+def _normal_density(block, scales):
+    # exp(-0.5 * b * b) / (sqrt(2 pi) s) in place.  -0.5 * b is exact,
+    # so -0.5 * (b * b) rounds as (-0.5 * b) * b does, except below the
+    # normal range or past overflow, where exp gives 1 or 0 either way
+    np.multiply(block, block, out=block)
+    block *= -0.5
+    np.exp(block, out=block)
+    block /= _SQRT_2PI * scales
+    return block
+
+
+def _mixture_average(z, scales, weights, *funcs) -> list:
+    """Mixture averages sum_k weights[k] func(z / scales[k]) of each func,
+    called as ``func(block, scales)``; one array of z's shape per func.
+
+    Rows go in blocks of 2048 inside each run of 65536.  numpy sends a
+    one-row product to its dot kernel, which sums in another order than
+    the matrix-vector kernel, so a trailing single row joins the block
+    before it, unless it starts a run of 65536 and so has always gone
+    alone.  Every row keeps the value of one block per 65536 rows.
+
+    The blocks run on the calling thread, through one buffer of at most
+    2049 rows, which each ``func`` in turn overwrites and returns, after
+    the block z / s is written into it afresh: several funcs make one pass
+    over the blocks, and each of their values is the one a pass of its own
+    gives.  Work is shared by column in ``merge`` and ``extract_copula``,
+    not here.
+    """
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    outs = [np.empty_like(flat) for _ in funcs]
+    buffer = np.empty((min(flat.size, 2049), scales.size))
+    for top in range(0, flat.size, 65536):
+        stop = min(top + 65536, flat.size)
+        starts = range(top, max(stop - 1, top + 1), 2048)
+        for start, end in zip(starts, [*starts[1:], stop]):
+            block = buffer[:end - start]
+            for func, out in zip(funcs, outs):
+                np.divide(flat[start:end, None], scales[None, :], out=block)
+                np.matmul(func(block, scales), weights, out=out[start:end])
+    return [out.reshape(z.shape) for out in outs]
 
 
 @lru_cache(maxsize=16)
-def _unit_law(mixing: LognormalMixing) -> _UnitLaw:
-    """The law of the 16 most recent mixings; a family keeps its own."""
-    return _UnitLaw(mixing)
-
-
-def _normal_cdf(block):
-    return ndtr(block, out=block)
+def _unit_law(mixing: LognormalMixing):
+    """What the unit law S * Z takes from its mixing alone, all read-only:
+    the scales and weights of the 64-node Gauss-Legendre mixture integral,
+    and the quantile table.  The table is the lower half of the law on 8193
+    nodes z from -z_max to 0: z, F0(z), log F0(z) and, on each interval of
+    log F0, the cubic Hermite interpolant of z with the exact slopes
+    dz / dlog F0 = F0 / f0, as coefficients in the interval's own variable
+    a in [0, 1].  The 16 most recent mixings are kept; a family keeps its
+    own."""
+    nodes, weights = roots_legendre(_MIX_NODES)
+    scales = check_array(mixing.quantile(0.5 * (nodes + 1.0)), "mixing quantile", 0.0,
+                         lo_open=True)
+    weights = 0.5 * weights
+    z_max = float(scales.max()) * abs(ndtri(1e-14)) * 1.05
+    zs = np.linspace(-z_max, 0.0, 8193)
+    cdf, pdf = _mixture_average(zs, scales, weights, _normal_cdf, _normal_density)
+    logs = np.log(cdf)
+    widths = np.diff(logs)
+    slope = cdf / pdf
+    # z's rise over each interval, and at its ends the slopes in a
+    rise, d0, d1 = np.diff(zs), widths * slope[:-1], widths * slope[1:]
+    cubic = _read_only(zs[:-1], d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise)
+    return (*_read_only(scales, weights), (*_read_only(zs, cdf, logs, widths), cubic))
 
 
 class ScaleMixtureGaussian(MarginalFamily):
@@ -491,8 +545,9 @@ class ScaleMixtureGaussian(MarginalFamily):
     that four steps leave an entry moving (sigma about 2.5 or more) raise
     ``NumericFailureError``.  An optional per-time scale c_t gives the law
     of c_t * S * Z.  The scales, weights and table depend on the mixing
-    alone: they are built once per mixing, the 16 most recent kept, and
-    shared read-only among families with equal mixings.
+    alone: the constructor builds them whole on the calling thread, once
+    per mixing, the 16 most recent kept, and families with equal mixings
+    share them read-only.
     """
 
     kind = "scale_mixture_gaussian"
@@ -502,95 +557,20 @@ class ScaleMixtureGaussian(MarginalFamily):
         super().__init__()
         if not isinstance(mixing, LognormalMixing):
             raise InvalidArgumentError(f"mixing must be a LognormalMixing, got {mixing!r}")
-        if not (np.isfinite(mixing.mean_inverse) and np.isfinite(mixing.mean_square)):
+        # log E[S**2] and log E[1/S], tested before any exp overflows
+        mu, sigma = float(mixing.mu), float(mixing.sigma)
+        if max(2.0 * mu + 2.0 * sigma * sigma, 0.5 * sigma * sigma - mu) > _LOG_MAX:
             raise InvalidArgumentError(
                 "mixing must have finite E[1/S] and E[S**2]")
         self.mixing = mixing
         self.scale = _as_time_fn(scale, "scale", lo=0.0, lo_open=True)
         self.time_invariant = not callable(scale)
-        self._law = _unit_law(mixing)
-        self._mix_w, self._mix_s = self._law.weights, self._law.scales
-
-    # ----- unit-scale mixture functions ---------------------------------
-    def _f0_block(self, z, *funcs) -> list:
-        """Mixture averages of each func(z / s) over the quadrature scales s.
-
-        Rows go in blocks of 2048 inside each run of 65536.  numpy sends a
-        one-row product to its dot kernel, which sums in another order than
-        the matrix-vector kernel, so a trailing single row joins the block
-        before it, unless it starts a run of 65536 and so has always gone
-        alone.  Every row keeps the value of one block per 65536 rows.
-
-        The blocks run on the calling thread, through one buffer of at
-        most 2049 rows, which each ``func`` in turn overwrites and returns,
-        after the block z / s is written into it afresh: several funcs
-        make one pass over the blocks, and each of their values is the one
-        a pass of its own gives.  Work is shared by column in ``merge`` and
-        ``extract_copula``, not here.  Returns one array of z's shape per
-        func.
-        """
-        z = np.asarray(z, dtype=float)
-        flat = z.ravel()
-        outs = [np.empty_like(flat) for _ in funcs]
-        buffer = np.empty((min(flat.size, 2049), self._mix_s.size))
-        for top in range(0, flat.size, 65536):
-            stop = min(top + 65536, flat.size)
-            starts = range(top, max(stop - 1, top + 1), 2048)
-            for start, end in zip(starts, [*starts[1:], stop]):
-                block = buffer[:end - start]
-                for func, out in zip(funcs, outs):
-                    np.divide(flat[start:end, None], self._mix_s[None, :], out=block)
-                    np.matmul(func(block), self._mix_w, out=out[start:end])
-        return [out.reshape(z.shape) for out in outs]
-
-    def _density(self, block):
-        # exp(-0.5 * b * b) / (sqrt(2 pi) s) in place.  -0.5 * b is exact,
-        # so -0.5 * (b * b) rounds as (-0.5 * b) * b does, except below the
-        # normal range or past overflow, where exp gives 1 or 0 either way
-        np.multiply(block, block, out=block)
-        block *= -0.5
-        np.exp(block, out=block)
-        block /= _SQRT_2PI * self._mix_s
-        return block
-
-    def _cdf0(self, z: np.ndarray) -> np.ndarray:
-        return self._f0_block(z, _normal_cdf)[0]
-
-    def _pdf0(self, z: np.ndarray) -> np.ndarray:
-        return self._f0_block(z, self._density)[0]
-
-    def _cdf0_pdf0(self, z: np.ndarray):
-        """(F0(z), f0(z)) from one pass, each bit for bit ``_cdf0``'s and
-        ``_pdf0``'s value."""
-        return self._f0_block(z, _normal_cdf, self._density)
-
-    def _quantile_table(self):
-        """The lower half of the unit law on 8193 nodes z from -z_max to 0:
-        z, F0(z), log F0(z) and, on each interval of log F0, the cubic
-        Hermite interpolant of z with the exact slopes dz / dlog F0 = F0 / f0,
-        as coefficients in the interval's own variable a in [0, 1].  It
-        depends on the mixing alone, so it is built once per unit law."""
-        law = self._law
-        # the column groups of a merge ask for it at once; one builds it
-        with law.lock:
-            if law.table is None:
-                z_max = float(self._mix_s.max()) * abs(ndtri(1e-14)) * 1.05
-                zs = np.linspace(-z_max, 0.0, 8193)
-                cdf, pdf = self._cdf0_pdf0(zs)
-                logs = np.log(cdf)
-                widths = np.diff(logs)
-                slope = cdf / pdf
-                # z's rise over each interval, and at its ends the slopes in a
-                rise, d0, d1 = np.diff(zs), widths * slope[:-1], widths * slope[1:]
-                cubic = _read_only(zs[:-1], d0, 3.0 * rise - 2.0 * d0 - d1,
-                                   d0 + d1 - 2.0 * rise)
-                law.table = (*_read_only(zs, cdf, logs, widths), cubic)
-        return law.table
+        self._mix_s, self._mix_w, self._table = _unit_law(mixing)
 
     def _unit_quantile(self, u, cu):
         # below the median F0(y) = u, above it F0(y) = cu and z = -y, as
         # 1 - F0(z) = F0(-z): both branches solve on the lower half
-        zs, _, logs, widths, (c0, c1, c2, c3) = self._quantile_table()
+        zs, _, logs, widths, (c0, c1, c2, c3) = self._table
         lower = u <= 0.5
         v = np.where(lower, u, cu).ravel()
         # start: the table's cubic in log v; a level below F0(zs[0]) starts
@@ -609,7 +589,8 @@ class ScaleMixtureGaussian(MarginalFamily):
         todo = np.arange(y.size)
         for _ in range(4):
             y0 = y[todo]
-            tail, dens = self._cdf0_pdf0(y0)
+            tail, dens = _mixture_average(y0, self._mix_s, self._mix_w,
+                                          _normal_cdf, _normal_density)
             tail -= v[todo]
             tail /= np.maximum(dens, 1e-300, out=dens)
             y1 = np.clip(y0 - tail, zs[0], -zs[0], out=tail)
@@ -627,14 +608,14 @@ class ScaleMixtureGaussian(MarginalFamily):
 
     # ----- family hooks --------------------------------------------------
     def _cdf(self, t, x):
-        return self._cdf0(x / self.scale(t))
+        return _mixture_average(x / self.scale(t), self._mix_s, self._mix_w, _normal_cdf)[0]
 
     def _quantile(self, t, u, cu):
         return self.scale(t) * self._quantile0(u, cu)
 
     def _pdf(self, t, x):
         c = self.scale(t)
-        return self._pdf0(x / c) / c
+        return _mixture_average(x / c, self._mix_s, self._mix_w, _normal_density)[0] / c
 
     def support(self, t):
         return -np.inf, np.inf

@@ -12,7 +12,7 @@ import pytest
 
 from copulaproc import (CopulaModel, ExperimentConfig, ExponentialScale, GaussianScale,
                         LognormalMixing, Pareto, ScaleMixtureGaussian, Uniform,
-                        make_uniform_grid, merge, sample_comonotone,
+                        kl_from_ensemble, make_uniform_grid, merge, sample_comonotone,
                         sample_elliptical_copula)
 from copulaproc import cli, sklar
 from copulaproc.cli import main
@@ -333,6 +333,34 @@ def test_non_numeric_config_value_exits_2(tmp_path, capsys, command, cfg, named)
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, family, named", [
+    ({"a": 0.0, "b": 1.0, "m": 3}, {"kind": "gaussian_scale", "power_law_hurst": -0.5},
+     "sigma cannot be evaluated at t=0.0: "),
+    ({"a": 1.0, "b": 2.0, "m": 2}, {"kind": "exponential_scale", "power_law_hurst": 2000},
+     "scale cannot be evaluated at t=2.0: "),
+    ({"a": 0.0, "b": 1.0, "m": 3},
+     {"kind": "scale_mixture_gaussian", "mixing": {"sigma": 30}}, "finite E[1/S]"),
+    ({"a": 0.0, "b": 1.0, "m": 3},
+     {"kind": "scale_mixture_gaussian", "mixing": {"mu": 400}}, "finite E[1/S]"),
+], ids=["hurst-below-0-at-0", "hurst-2000-overflows", "mixing-sigma-30", "mixing-mu-400"])
+def test_family_that_cannot_be_evaluated_exits_2(tmp_path, capsys, grid, family, named):
+    # the warning filter turns a leaked RuntimeWarning into an error
+    rc, outdir = _run(tmp_path, "simulate", dict(SIMULATE_CFG, grid=grid, family=family))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and named in err
+    assert not outdir.exists()
+
+
+def test_numeric_failure_exits_3_and_leaves_no_output(tmp_path, capsys):
+    # four Newton steps leave the sigma = 3 mixture quantile moving
+    family = {"kind": "scale_mixture_gaussian", "mixing": {"sigma": 3}}
+    rc, outdir = _run(tmp_path, "simulate", dict(SIMULATE_CFG, n_paths=64, family=family))
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numeric failure: scale-mixture quantile: ")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("model, named", [
     ({"variant": "comonotone", "t0": "nan"}, "t0"),
     ({"variant": "clayton", "theta": "nan"}, "theta"),
@@ -543,6 +571,21 @@ def test_klexpand_outputs(tmp_path):
     with open(outdir / "eigenfunctions.csv", newline="") as fh:
         header = next(csv.reader(fh))
     assert header == ["t"] + [f"phi{i}" for i in range(9)]
+
+
+def test_klexpand_with_a_family_expands_the_merged_process(tmp_path):
+    cfg = {
+        "grid": {"a": 0.5, "b": 1.5, "m": 9},
+        "model": {"variant": "fbm", "hurst": 0.5},
+        "family": {"kind": "exponential_scale", "scale": 2.0},
+        "n_paths": 400,
+        "seed": 21,
+    }
+    rc, outdir = _run(tmp_path, "klexpand", cfg)
+    assert rc == 0
+    copula = CopulaModel("fbm", hurst=0.5).sample(make_uniform_grid(0.5, 1.5, 9), 400, 21)
+    want = kl_from_ensemble(merge(copula, ExponentialScale(2.0)))
+    assert _read_json(outdir / "report.json")["eigenvalues"] == want.eigenvalues.tolist()
 
 
 def test_check_moment_divergent_pareto(tmp_path):

@@ -314,11 +314,27 @@ def test_scale_mixture_blocks_keep_the_65536_row_values_bitwise(tmp_path):
     ref = np.load(path)
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=2.0)
     # the quantile table holds the lower half of those nodes
-    assert np.array_equal(fam._quantile_table()[1], ref["table"][:8193])
+    assert np.array_equal(fam._table[1], ref["table"][:8193])
     for n in MIXTURE_SIZES:
         x = ref[f"x{n}"]
         assert np.array_equal(fam.cdf(0.0, x), ref[f"cdf{n}"]), n
         assert np.array_equal(fam.pdf(0.0, x), ref[f"pdf{n}"]), n
+
+
+def _cdf0(fam, z):
+    """F0(z), the unit mixture CDF, from a pass of its own."""
+    return marginals._mixture_average(z, fam._mix_s, fam._mix_w, marginals._normal_cdf)[0]
+
+
+def _pdf0(fam, z):
+    """f0(z), the unit mixture density, from a pass of its own."""
+    return marginals._mixture_average(z, fam._mix_s, fam._mix_w, marginals._normal_density)[0]
+
+
+def _cdf0_pdf0(fam, z):
+    """(F0(z), f0(z)) from one fused pass, as the Newton steps take them."""
+    return marginals._mixture_average(z, fam._mix_s, fam._mix_w, marginals._normal_cdf,
+                                      marginals._normal_density)
 
 
 def _two_pass_newton_quantile(fam, t, u):
@@ -327,12 +343,12 @@ def _two_pass_newton_quantile(fam, t, u):
     with F0(z) and F0(-z) each taken over every entry."""
     u = np.asarray(u, dtype=float)
     cu = 1.0 - u
-    z_max = -fam._quantile_table()[0][0]
+    z_max = -fam._table[0][0]
     zs = np.linspace(-z_max, z_max, 16385)
-    z = np.clip(np.interp(u, fam._cdf0(zs), zs), zs[0], zs[-1])
+    z = np.clip(np.interp(u, _cdf0(fam, zs), zs), zs[0], zs[-1])
     for _ in range(4):
-        dens = np.maximum(fam._pdf0(z), 1e-300)
-        resid = np.where(u <= 0.5, fam._cdf0(z) - u, cu - fam._cdf0(-z))
+        dens = np.maximum(_pdf0(fam, z), 1e-300)
+        resid = np.where(u <= 0.5, _cdf0(fam, z) - u, cu - _cdf0(fam, -z))
         z = np.clip(z - resid / dens, zs[0], zs[-1])
     return fam.scale(t) * z
 
@@ -340,26 +356,25 @@ def _two_pass_newton_quantile(fam, t, u):
 @pytest.mark.parametrize("n", MIXTURE_SIZES)
 def test_scale_mixture_one_pass_residual_matches_two_pass_bitwise(n):
     # the Newton step's F0 and f0 come from one pass over the blocks, with
-    # the values of a _cdf0 pass and a _pdf0 pass
+    # the values of a CDF pass and a density pass
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
     z = 8.0 * np.random.default_rng(n).standard_normal(n)
-    cdf, pdf = fam._cdf0_pdf0(z)
-    assert np.array_equal(cdf, fam._cdf0(z))
-    assert np.array_equal(pdf, fam._pdf0(z))
+    cdf, pdf = _cdf0_pdf0(fam, z)
+    assert np.array_equal(cdf, _cdf0(fam, z))
+    assert np.array_equal(pdf, _pdf0(fam, z))
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.5])
 def test_scale_mixture_newton_step_takes_one_fused_pass(monkeypatch, sigma):
     fam = ScaleMixtureGaussian(LognormalMixing(0.1, sigma))
-    fam._quantile_table()
     calls = []
-    block = ScaleMixtureGaussian._f0_block
+    kernel = marginals._mixture_average
 
-    def spy(self, z, *funcs):
+    def spy(z, scales, weights, *funcs):
         calls.append((np.size(z), len(funcs)))
-        return block(self, z, *funcs)
+        return kernel(z, scales, weights, *funcs)
 
-    monkeypatch.setattr(ScaleMixtureGaussian, "_f0_block", spy)
+    monkeypatch.setattr(marginals, "_mixture_average", spy)
     u = np.random.default_rng(3).uniform(0.0, 1.0, 5000)
     fam.quantile(0.0, u)
     # the table start is close enough that one Newton step, F0 and f0
@@ -378,7 +393,7 @@ def _agrees_with_the_four_step_reference(fam, u):
     the rounding of z, F0/f0 for how far F0's own rounding moves the root."""
     got = fam.quantile(0.0, u)
     ref = _two_pass_newton_quantile(fam, 0.0, u)
-    tail, dens = fam._cdf0_pdf0(-np.abs(ref))
+    tail, dens = _cdf0_pdf0(fam, -np.abs(ref))
     return np.abs(got - ref) <= 4.0 * np.finfo(float).eps * (np.abs(ref) + tail / dens)
 
 
@@ -390,7 +405,7 @@ def test_scale_mixture_quantile_matches_the_four_step_reference(sigma):
 
 def test_scale_mixture_quantile_clips_below_the_table():
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
-    zs, cdf = fam._quantile_table()[:2]
+    zs, cdf = fam._table[:2]
     u = np.array([cdf[0] / 2.0, cdf[0] * 0.999, 1e-300])
     assert np.all(fam.quantile(0.0, u) == zs[0])
     assert np.all(fam.quantile_tail(0.0, 1.0 - u, u) == -zs[0])
@@ -413,9 +428,9 @@ def test_scale_mixture_quantile_converges_for_sigma_2():
     rng = np.random.default_rng(8)
     u = np.concatenate([10.0 ** -rng.uniform(0.0, 18.0, 12500), rng.uniform(0.0, 1.0, 12500)])
     z = fam.quantile(0.0, u)
-    tail = fam._cdf0(-np.abs(z))
+    tail = _cdf0(fam, -np.abs(z))
     v = np.minimum(u, 1.0 - u)
-    assert np.all(np.abs(z) < -fam._quantile_table()[0][0])
+    assert np.all(np.abs(z) < -fam._table[0][0])
     assert np.max(np.abs(tail - v) / v) <= 1e-13
 
 
@@ -425,6 +440,17 @@ def test_scale_mixture_quantile_that_does_not_converge_raises():
     u = np.random.default_rng(8).uniform(0.0, 1.0, 25000)
     with pytest.raises(NumericFailureError, match=r"LognormalMixing\(mu=0.0, sigma=3.0\)"):
         fam.quantile(0.0, u)
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 30.0), (400.0, 0.5), (-800.0, 0.5)])
+def test_scale_mixture_refuses_mixings_whose_moments_overflow(mu, sigma):
+    # E[S**2] = exp(2 mu + 2 sigma**2) or E[1/S] = exp(sigma**2 / 2 - mu)
+    # lies past the float range; the refusal comes before any exp overflows
+    # (the warning filter would raise it) and before its law is built
+    marginals._unit_law.cache_clear()
+    with pytest.raises(InvalidArgumentError, match=r"finite E\[1/S\] and E\[S\*\*2\]"):
+        ScaleMixtureGaussian(LognormalMixing(mu, sigma))
+    assert marginals._unit_law.cache_info().misses == 0
 
 
 def test_scale_mixture_merge_stores_no_quantile():
@@ -437,29 +463,15 @@ def test_scale_mixture_merge_stores_no_quantile():
 
 
 def test_scale_mixture_merge_builds_its_quantile_table_once(monkeypatch):
-    # on two CPUs the first column group of each thread asks for the table
-    # at the same time; both used to build it
+    # the family builds its table on the calling thread; the column groups
+    # of a two-CPU merge only read it
     monkeypatch.setattr(sklar, "usable_cpus", lambda: 2)
-    tables = []
-    cdf0_pdf0 = ScaleMixtureGaussian._cdf0_pdf0
-
-    def spy(self, z):
-        if np.size(z) == 8193:
-            tables.append(1)
-        return cdf0_pdf0(self, z)
-
-    monkeypatch.setattr(ScaleMixtureGaussian, "_cdf0_pdf0", spy)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for seed in range(3):
-            tables.clear()
-            marginals._unit_law.cache_clear()
-            fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=lambda t: t)
-            merge(sample_comonotone(make_uniform_grid(1.0, 2.0, 33), 4096, seed=seed), fam)
-            assert len(tables) == 1
-    finally:
-        sys.setswitchinterval(interval)
+    marginals._unit_law.cache_clear()
+    builds = _counting_table_builds(monkeypatch)
+    fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=lambda t: t)
+    assert len(builds) == 1 and builds[0] is fam._mix_s
+    merge(sample_comonotone(make_uniform_grid(1.0, 2.0, 33), 4096, seed=0), fam)
+    assert len(builds) == 1
 
 
 def test_scale_mixture_quadrature_reuses_its_quantile_across_times(monkeypatch):
@@ -468,13 +480,13 @@ def test_scale_mixture_quadrature_reuses_its_quantile_across_times(monkeypatch):
     # each of the 4096 and 8192 node rules, as before the memo matched by
     # identity
     calls = []
-    block = ScaleMixtureGaussian._f0_block
+    kernel = marginals._mixture_average
 
-    def spy(self, z, *funcs):
+    def spy(z, scales, weights, *funcs):
         calls.append(np.size(z))
-        return block(self, z, *funcs)
+        return kernel(z, scales, weights, *funcs)
 
-    monkeypatch.setattr(ScaleMixtureGaussian, "_f0_block", spy)
+    monkeypatch.setattr(marginals, "_mixture_average", spy)
     marginals._unit_law.cache_clear()
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5), scale=lambda t: t ** 0.5)
     rep = pathspace_wasserstein_same_copula(
@@ -484,16 +496,17 @@ def test_scale_mixture_quadrature_reuses_its_quantile_across_times(monkeypatch):
 
 
 def _counting_table_builds(monkeypatch):
-    """A list that gains an entry each time a quantile table is built."""
+    """A list that gains the mixture scales each time a quantile table is
+    built on them."""
     builds = []
-    cdf0_pdf0 = ScaleMixtureGaussian._cdf0_pdf0
+    kernel = marginals._mixture_average
 
-    def spy(self, z):
+    def spy(z, scales, weights, *funcs):
         if np.size(z) == 8193:
-            builds.append(self)
-        return cdf0_pdf0(self, z)
+            builds.append(scales)
+        return kernel(z, scales, weights, *funcs)
 
-    monkeypatch.setattr(ScaleMixtureGaussian, "_cdf0_pdf0", spy)
+    monkeypatch.setattr(marginals, "_mixture_average", spy)
     return builds
 
 
@@ -507,10 +520,10 @@ def test_scale_mixtures_with_equal_mixings_share_one_table(monkeypatch):
     want = first.quantile(0.0, u) / 2.0
     second = ScaleMixtureGaussian(LognormalMixing(0.2, 0.4), scale=lambda t: 0.5 + t)
     assert np.array_equal(second.quantile(0.5, u), want)
-    assert builds == [first]
-    assert second._quantile_table() is first._quantile_table()
-    for arr in (*first._quantile_table()[:4], *first._quantile_table()[4],
-                first._mix_s, first._mix_w):
+    assert len(builds) == 1 and builds[0] is first._mix_s
+    assert second._table is first._table
+    assert second._mix_s is first._mix_s and second._mix_w is first._mix_w
+    for arr in (*first._table[:4], *first._table[4], first._mix_s, first._mix_w):
         assert not arr.flags.writeable
 
 
@@ -518,22 +531,21 @@ def test_scale_mixture_keeps_its_table_after_the_cache_drops_its_mixing(monkeypa
     marginals._unit_law.cache_clear()
     builds = _counting_table_builds(monkeypatch)
     fam = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
-    table = fam._quantile_table()
+    table = fam._table
     other = ScaleMixtureGaussian(LognormalMixing(0.0, 0.6))
-    other._quantile_table()
-    assert builds == [fam, other]
-    assert other._quantile_table()[0][0] != table[0][0]
+    assert len(builds) == 2 and builds[0] is fam._mix_s and builds[1] is other._mix_s
+    assert other._table[0][0] != table[0][0]
     # 16 other mixings push the first out of the cache ...
     for k in range(16):
         ScaleMixtureGaussian(LognormalMixing(0.01 * (k + 1), 0.5))
     assert marginals._unit_law.cache_info().currsize == 16
     # ... but the live family still holds its law and table, while a new
     # family of that mixing builds the table again, to the same bits
-    assert fam._quantile_table() is table
+    assert fam._table is table
     fresh = ScaleMixtureGaussian(LognormalMixing(0.0, 0.5))
-    assert fresh._quantile_table() is not table
-    assert builds == [fam, other, fresh]
-    for got, want in zip(fresh._quantile_table()[:4], table[:4]):
+    assert fresh._table is not table
+    assert len(builds) == 2 + 16 + 1 and builds[-1] is fresh._mix_s
+    for got, want in zip(fresh._table[:4], table[:4]):
         assert np.array_equal(got, want)
 
 
@@ -639,7 +651,7 @@ def test_scale_mixture_density_in_place_rounds_as_the_textbook_order():
     block = z[:, None] / s[None, :]
     with np.errstate(over="ignore"):
         textbook = (np.exp(-0.5 * block * block) / (np.sqrt(2.0 * np.pi) * s[None, :])) @ w
-        assert np.array_equal(fam._pdf0(z), textbook)
+        assert np.array_equal(_pdf0(fam, z), textbook)
 
 
 def test_scale_mixture_symmetry_and_roundtrip():
@@ -691,6 +703,46 @@ def test_family_validation():
     with pytest.raises(UnsupportedOperationError):
         g = make_uniform_grid(0.0, 1.0, 2)
         Empirical(g, np.zeros((2, 3))).pdf(0.0, 0.0)
+
+
+@pytest.mark.parametrize("family, name, t", [
+    (GaussianScale.power_law(-0.5), "sigma", 0.0),  # 0.0 ** -0.5
+    (ExponentialScale.power_law(2000.0), "scale", 2.0),  # 2.0 ** 2000
+    (Pareto(1.0, lambda t: 1.0 / t), "alpha", 0.0),
+])
+def test_time_function_that_raises_an_arithmetic_error_is_refused(family, name, t):
+    for call in (lambda: family.cdf(t, 1.0), lambda: family.quantile(t, 0.5)):
+        with pytest.raises(InvalidArgumentError, match=rf"^{name} cannot be evaluated at t={t}: "):
+            call()
+
+
+#: continuous kind -> (a family whose law moves with t, its mode at time t)
+DENSITY_MODES = {
+    "gaussian_scale": (lambda: GaussianScale(lambda t: t ** 0.5, mean=lambda t: 0.3 * t),
+                       lambda t: 0.3 * t),
+    "exponential_scale": (lambda: ExponentialScale(lambda t: 1.5 * t), lambda t: 0.0),
+    "pareto": (lambda: Pareto(1.5, lambda t: 2.0 + t), lambda t: 1.5),
+    "uniform": (lambda: Uniform(-1.0, 2.0), lambda t: 0.5),
+    "scale_mixture_gaussian": (
+        lambda: ScaleMixtureGaussian(LognormalMixing(0.1, 0.3), scale=lambda t: t),
+        lambda t: 0.0),
+}
+
+
+def test_density_modes_cover_every_continuous_kind():
+    assert set(DENSITY_MODES) == {k for k, cls in FAMILY_KINDS.items() if cls.is_continuous}
+
+
+@pytest.mark.parametrize("kind", sorted(DENSITY_MODES))
+def test_density_sup_bound_holds_on_a_lattice_and_is_attained_at_the_mode(kind):
+    make, mode = DENSITY_MODES[kind]
+    fam = make()
+    grid = make_uniform_grid(1.0, 2.0, 5)
+    bound = fam.density_sup_bound(grid)
+    for t in grid.points:
+        assert np.all(fam.pdf(t, fam.quantile(t, U_LAT)) <= bound * (1.0 + 1e-12))
+    peak = max(fam.pdf(t, mode(t)) for t in grid.points)
+    assert_allclose(peak, bound, rtol=1e-12)
 
 
 #: kind -> (numeric constructor arguments, the ones that are functions of t)

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import expit
 
-from copulaproc import (LognormalMixing, NumericFailureError, ScaleMixtureGaussian,
-                        check_moment_condition, make_uniform_grid)
+from copulaproc import (Empirical, GaussianScale, LognormalMixing, NumericFailureError,
+                        Pareto, ScaleMixtureGaussian, Uniform, check_moment_condition,
+                        make_uniform_grid, pathspace_wasserstein_same_copula)
 from copulaproc import _quadrature
 from copulaproc._quadrature import (adaptive_unit_integral, graded_midpoint_nodes,
                                     per_time_integrals, step_gap_integral)
@@ -228,3 +230,21 @@ def test_tail_verdict_calls_the_quantile_only_on_shared_nodes(monkeypatch):
     rep = check_moment_condition(fam, make_uniform_grid(0.5, 1.5, 9), 2.0)
     assert rep.integral == 6.728742847346352
     assert sizes == [4096, 8192]
+
+
+@pytest.mark.parametrize("integral", [
+    lambda grid: pathspace_wasserstein_same_copula(
+        GaussianScale(1e160), Uniform(), grid, 2).integrated,
+    lambda grid: check_moment_condition(GaussianScale(1e160), grid, 2.0).integral,
+    lambda grid: check_moment_condition(
+        Empirical(grid, np.full((grid.m, 4), 1e200)), grid, 2.0).integral,
+    lambda grid: pathspace_wasserstein_same_copula(
+        Empirical(grid, np.full((grid.m, 4), 1e200)), Pareto(1.0, 0.5), grid, 2).integrated,
+], ids=["w2-of-an-overflowing-gaussian", "moment-of-an-overflowing-gaussian",
+        "moment-of-an-overflowing-sample", "w2-of-an-overflowing-sample-against-pareto"])
+def test_overflowing_integrands_read_inf_without_a_warning(integral):
+    # |Q|**2, or the step's gap to Q, overflows; the rule reads the +inf it
+    # gets
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert integral(make_uniform_grid(0.0, 1.0, 5)) == np.inf
