@@ -80,7 +80,9 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
     """int_delta^{1-delta} f(u) du with node doubling, or +inf for a divergent end.
 
     Starts at ``_START_NODES`` = 4096 midpoints and doubles until successive
-    values agree to ``_REL_TOL`` = 1e-6 relative or the node cap is reached.
+    values agree to ``_REL_TOL`` = 1e-6 relative.  A level of ``max_nodes``
+    (2**18) nodes that has not settled raises ``NumericFailureError`` with
+    its node count and the relative change of its doubling.
     An end of the first level (s = u below, 1 - u above) is divergent, and
     the value +inf, when h = +inf at its end node s_0 or h(s_0) exceeds
     (s_k/s_0)**0.926 times every h from the first node s_k >= 2 s_0 to the
@@ -97,7 +99,7 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
     overflow and invalid-value warnings off.
     """
     n = _START_NODES
-    previous = None
+    previous = np.nan  # no level before the first; it compares false
     while True:
         u, cu, w = graded_midpoint_nodes(delta, n)
         vals = f(u, cu)
@@ -118,10 +120,12 @@ def adaptive_unit_integral(f: Integrand, delta: float, max_nodes: int = 2**18) -
         total = float(w @ vals)
         if not np.isfinite(total) and not np.isfinite(vals).all():
             raise NumericFailureError("integrand produced non-finite values")
-        if previous is not None and abs(total - previous) <= _REL_TOL * max(abs(total), 1e-300):
+        if abs(total - previous) <= _REL_TOL * max(abs(total), 1e-300):
             return total
         if n >= max_nodes:
-            return total
+            raise NumericFailureError(
+                f"quadrature unsettled at its cap of {n} nodes: the last doubling "
+                f"moved it {abs(total - previous) / max(abs(total), 1e-300):.3g} relative")
         previous = total
         n *= 2
 
@@ -253,14 +257,15 @@ def step_gap_integral(levels, values, quantile, cdf, p: float, delta: float) -> 
     on which S - Q changes sign is split at u* = F(S) into two halves of 8
     nodes each, so the kink of |S - Q| lies on a boundary.  The two end
     segments, where Q may be unbounded, go through
-    ``adaptive_unit_integral`` with |Q|**p as tails.  Q is called on shared
-    immutable arrays except at the split halves.  A gap that overflows
-    reads +inf, without a warning.
+    ``adaptive_unit_integral`` with |Q|**p and the step's own |S|**p as
+    tails.  Q is called on shared immutable arrays except at the split
+    halves.  A gap that overflows reads +inf, without a warning.
     """
     if values.size == 1:
         def one_value(u, cu):
             q = quantile(u, cu)
-            return abs_power_gap(values[0], q, p), [np.abs(q) ** p]
+            return abs_power_gap(values[0], q, p), (
+                np.abs(h) ** p for h in (q, np.broadcast_to(values[0], q.shape)))
         return adaptive_unit_integral(one_value, delta)
     nodes = _nodes_for(levels.tobytes(), delta)
     q = quantile(nodes.u, nodes.cu)
@@ -288,6 +293,7 @@ def step_gap_integral(levels, values, quantile, cdf, p: float, delta: float) -> 
         u, cu = nodes.end_nodes(s)
         q = quantile(u, cu).reshape(2, -1)
         gap = abs_power_gap(ends, q, p)
-        return nodes.c_lo * gap[0] + nodes.c_hi * gap[1], (np.abs(row) ** p for row in q)
+        return nodes.c_lo * gap[0] + nodes.c_hi * gap[1], (
+            np.abs(row) ** p for row in (*q, *np.broadcast_to(ends, q.shape)))
 
     return total + adaptive_unit_integral(end_segments, nodes.delta_s)

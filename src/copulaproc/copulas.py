@@ -129,7 +129,7 @@ def elliptical_pretransform(grid: TimeGrid, hurst: float, mixing: LognormalMixin
     S stays finite and positive.
     """
     hurst = _check_gaussian_args(grid, hurst, "elliptical")
-    family = ScaleMixtureGaussian(mixing)  # rejects mixings without E[1/S], E[S**2]
+    family = ScaleMixtureGaussian(mixing)  # the law of S * V_t, built before any draw
     scale = grid.points ** hurst
     corr = fbm_covariance(grid.points, hurst) / np.outer(scale, scale)
     factor, _ = cholesky_with_jitter(corr)

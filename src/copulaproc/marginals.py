@@ -417,31 +417,26 @@ class Uniform(MarginalFamily):
 class LognormalMixing:
     """Lognormal mixing scale: ln S ~ N(mu, sigma**2); sigma = 0 degenerates.
 
-    Both required moments are finite for every parameter choice:
-    E[1/S] = exp(-mu + sigma**2 / 2) and E[S**2] = exp(2 mu + 2 sigma**2).
-    ``ScaleMixtureGaussian`` refuses a mixing where either overflows a float.
+    The mixture law needs E[1/S] = exp(-mu + sigma**2 / 2) and
+    E[S**2] = exp(2 mu + 2 sigma**2); a mixing where either overflows a
+    float is refused here, from the logs, before any exp is taken.
     """
 
     mu: float = 0.0
     sigma: float = 0.5
 
     def __post_init__(self):
-        check_float(self.mu, "mu")
-        check_float(self.sigma, "sigma", 0.0)
+        mu = check_float(self.mu, "mu")
+        sigma = check_float(self.sigma, "sigma", 0.0)
+        # each log alone: at mu = -1e308, sigma = 1e200 log E[S**2] is NaN
+        if 2.0 * mu + 2.0 * sigma * sigma > _LOG_MAX or 0.5 * sigma * sigma - mu > _LOG_MAX:
+            raise InvalidArgumentError("mixing must have finite E[1/S] and E[S**2]")
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         if self.sigma == 0.0:
             return np.full_like(u, np.exp(self.mu))
         return np.exp(self.mu + self.sigma * ndtri(u))
-
-    @property
-    def mean_inverse(self) -> float:
-        return float(np.exp(-self.mu + 0.5 * self.sigma ** 2))
-
-    @property
-    def mean_square(self) -> float:
-        return float(np.exp(2.0 * self.mu + 2.0 * self.sigma ** 2))
 
     @property
     def tag(self) -> str:
@@ -547,7 +542,8 @@ class ScaleMixtureGaussian(MarginalFamily):
     of c_t * S * Z.  The scales, weights and table depend on the mixing
     alone: the constructor builds them whole on the calling thread, once
     per mixing, the 16 most recent kept, and families with equal mixings
-    share them read-only.
+    share them read-only.  The finite E[1/S] and E[S**2] the law needs are
+    the mixing's to guarantee: ``LognormalMixing`` refuses the rest.
     """
 
     kind = "scale_mixture_gaussian"
@@ -557,11 +553,6 @@ class ScaleMixtureGaussian(MarginalFamily):
         super().__init__()
         if not isinstance(mixing, LognormalMixing):
             raise InvalidArgumentError(f"mixing must be a LognormalMixing, got {mixing!r}")
-        # log E[S**2] and log E[1/S], tested before any exp overflows
-        mu, sigma = float(mixing.mu), float(mixing.sigma)
-        if max(2.0 * mu + 2.0 * sigma * sigma, 0.5 * sigma * sigma - mu) > _LOG_MAX:
-            raise InvalidArgumentError(
-                "mixing must have finite E[1/S] and E[S**2]")
         self.mixing = mixing
         self.scale = _as_time_fn(scale, "scale", lo=0.0, lo_open=True)
         self.time_invariant = not callable(scale)
@@ -633,7 +624,9 @@ class Empirical(MarginalFamily):
     ceil(u * n), realized as the generalized inverse of the empirical CDF
     so the Galois inequality is exact in floating point.  The CDF has
     atoms, so densities are unsupported and copula extraction goes through
-    the distributional transform.
+    the distributional transform.  The family answers at the times of its
+    own grid, whichever grid asks, so it serves any grid whose times are
+    its own, such as a sub-grid; any other time raises.
     """
 
     kind = "empirical"

@@ -24,7 +24,7 @@ from ._quadrature import adaptive_unit_integral, per_time_integrals, step_power_
 from .copulas import CopulaEnsemble
 from .errors import InvalidArgumentError, check_float
 from .grid import TimeGrid, check_paths, integrate
-from .marginals import Empirical, MarginalFamily
+from .marginals import MarginalFamily
 
 #: endpoint cut for the moment-condition quadrature
 _MOMENT_DELTA = 1e-12
@@ -50,12 +50,6 @@ class ProcessEnsemble:
         paths = check_paths(self.grid, self.paths, "process paths")
         object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "n_paths", paths.shape[0])
-
-
-def _check_family_grid(family: MarginalFamily, grid: TimeGrid) -> None:
-    if isinstance(family, Empirical) and family.grid != grid:
-        raise InvalidArgumentError(
-            "empirical family is defined on a different grid")
 
 
 def usable_cpus() -> int:
@@ -129,7 +123,6 @@ def merge(copula: CopulaEnsemble, family: MarginalFamily) -> ProcessEnsemble:
     hooks, and callables such as a ``scale`` or ``mean`` of t, may
     therefore run on several threads at once and must be pure.
     """
-    _check_family_grid(family, copula.grid)
     out = _columnwise(copula.grid.points, family.quantile,
                       np.empty_like(copula.paths), copula.paths)
     return ProcessEnsemble(copula.grid, out, family.kind, copula.model_tag)
@@ -168,8 +161,10 @@ def extract_copula(process: ProcessEnsemble, family: MarginalFamily,
     holds the copula and must not be used again.  A caller whose process
     dies on return saves one n_paths x m matrix this way.  Paths that do
     not own their memory, such as a view of another array, are rejected.
+    The family's support is read at every grid time before anything is
+    drawn or written, so a time the family refuses, as an ``Empirical``
+    time off its own grid, leaves the paths as they were.
     """
-    _check_family_grid(family, process.grid)
     aux_seed = rng.check_seed(aux_seed)
     paths = process.paths
     if overwrite_process and not paths.flags.owndata:
@@ -177,7 +172,8 @@ def extract_copula(process: ProcessEnsemble, family: MarginalFamily,
             "overwrite_process needs paths that own their memory, got a view")
     out = None
     points = process.grid.points
-    if family.is_continuous and all(lo < hi for lo, hi in map(family.support, points)):
+    supports = [family.support(t) for t in points]
+    if family.is_continuous and all(lo < hi for lo, hi in supports):
         fn, arrays = family.cdf, (paths,)
     else:
         if aux is None:

@@ -87,12 +87,13 @@ def wasserstein1d_quantile(family_a: MarginalFamily, family_b: MarginalFamily,
     """W_p between the time-t marginals via the quantile closed form.
 
     For two continuous quantiles the quadrature starts at 4096 midpoints
-    and doubles until the value settles to 1e-6 relative or the 2**18 cap
-    is reached.  A step quantile (``quantile_steps``) is integrated segment
-    by segment: exactly over (0, 1) against another step quantile, and
-    against a continuous one with 8 Gauss-Legendre nodes per level segment,
-    segments where Q_A - Q_B changes sign split at the crossing, and the
-    graded rule on the two end segments.  A divergent end reads ``inf``.
+    and doubles until the value settles to 1e-6 relative; one still moving
+    at the 2**18 node cap raises ``NumericFailureError``.  A step quantile
+    (``quantile_steps``) is integrated segment by segment: exactly over
+    (0, 1) against another step quantile, and against a continuous one
+    with 8 Gauss-Legendre nodes per level segment, segments where
+    Q_A - Q_B changes sign split at the crossing, and the graded rule on
+    the two end segments.  A divergent end reads ``inf``.
     """
     p = check_int(p, "p", 1, MAX_P)
     if family_a is family_b:

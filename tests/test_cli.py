@@ -352,6 +352,17 @@ def test_family_that_cannot_be_evaluated_exits_2(tmp_path, capsys, grid, family,
     assert not outdir.exists()
 
 
+def test_overflowing_mixing_exits_2_where_no_family_uses_it(tmp_path, capsys):
+    # an fbm model never reads its mixing, which is refused where it is built
+    model = {"variant": "fbm", "hurst": 0.3, "mixing": {"sigma": 30}}
+    rc, outdir = _run(tmp_path, "simulate",
+                      dict(SIMULATE_CFG, grid={"a": 0.5, "b": 1.5, "m": 3}, model=model))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: mixing must have finite E[1/S] and E[S**2]\n")
+    assert not outdir.exists()
+
+
 def test_numeric_failure_exits_3_and_leaves_no_output(tmp_path, capsys):
     # four Newton steps leave the sigma = 3 mixture quantile moving
     family = {"kind": "scale_mixture_gaussian", "mixing": {"sigma": 3}}

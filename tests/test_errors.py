@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import re
 
@@ -6,11 +9,16 @@ import numpy as np
 import pytest
 
 from copulaproc import (CopulaModel, Empirical, ExperimentConfig, GaussianScale,
-                        LognormalMixing, Pareto, ProcessEnsemble, TimeGrid,
+                        LognormalMixing, Pareto, ProcessEnsemble, RobustnessParams, TimeGrid,
                         check_assumption, check_moment_condition, constant_K,
-                        gaussian_minorant_params, make_uniform_grid,
-                        sample_archimedean_clayton, wasserstein1d_empirical)
-from copulaproc.errors import InvalidArgumentError, check_array, check_float, check_int
+                        empirical_covariance, gaussian_minorant_params, grid_from_points,
+                        kl_expand, make_uniform_grid, mc_coupling_cost,
+                        pareto_minorant_params, sample_archimedean_clayton, truncate,
+                        wasserstein1d_empirical)
+from copulaproc._quadrature import adaptive_unit_integral
+from copulaproc.cli import main
+from copulaproc.errors import (CopulaProcessError, InvalidArgumentError, check_array,
+                               check_float, check_int)
 from copulaproc.rng import path_generator
 from copulaproc.robustness import rho
 
@@ -202,3 +210,88 @@ def test_family_evaluation_points_may_be_infinite():
     family = GaussianScale(1.0)
     assert family.cdf(1.0, [-math.inf, math.inf]).tolist() == [0.0, 1.0]
     assert family.distributional_transform(1.0, math.inf, 0.5) == 1.0
+
+
+def _refused(fn, *args, **kwargs):
+    """A case: ``fn(*args, **kwargs)`` must raise; gives 'Type: message'."""
+    def case(tmp_path):
+        with pytest.raises(CopulaProcessError) as info:
+            fn(*args, **kwargs)
+        return f"{type(info.value).__name__}: {info.value}"
+    return case
+
+
+def _cli(command, cfg):
+    """A case: ``command`` on the config ``cfg``; gives its exit code and
+    stderr, the config's path written as CONFIG."""
+    def case(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        return f"exit {rc}: {err.getvalue().replace(str(path), 'CONFIG')}"
+    return case
+
+
+def _one_path_se(tmp_path):
+    one = ProcessEnsemble(_GRID, np.zeros((1, _GRID.m)))
+    return f"se {mc_coupling_cost(one, one, 1)[2]}"
+
+
+_VANISHING = RobustnessParams(p=1, epsilon=1.0, q=2.0, beta=0.5, lambda_floor=1.0,
+                              minorant=lambda t, x: np.zeros_like(x),
+                              center=lambda t: 0.0, halfwidth=lambda t: 0.0)
+_HEAVY = Pareto(1.0, 2.5)
+_SMALL = {"grid": {"a": 0.5, "b": 1.5, "m": 3}, "n_paths": 4, "seed": 7,
+          "model": {"variant": "comonotone"}}
+
+
+@pytest.mark.parametrize("case, outcome", [
+    (_refused(TimeGrid, 0.0, 1.0, np.array([0.0]), np.array([1.0])),
+     "InvalidArgumentError: grid needs at least two points"),
+    (_refused(TimeGrid, 0.0, 1.0, np.array([0.0, 1.0]), np.array([1.0])),
+     "InvalidArgumentError: points and weights must have equal length"),
+    (_refused(TimeGrid, 0.0, 2.0, np.array([0.0, 1.0]), np.array([0.5, 0.5])),
+     "InvalidArgumentError: grid points must start at a and end at b"),
+    (_refused(grid_from_points, [0.0]),
+     "InvalidArgumentError: need a 1-d array of at least two points"),
+    (_refused(empirical_covariance, ProcessEnsemble(_GRID, np.zeros((1, 3)))),
+     "InvalidArgumentError: need at least two paths for a covariance"),
+    (_refused(kl_expand, np.eye(2), _GRID),
+     "InvalidArgumentError: covariance must have shape (3, 3), got (2, 2)"),
+    (_refused(kl_expand, np.eye(3), _GRID, mean=np.zeros(2)),
+     "InvalidArgumentError: mean must have shape (3,), got (2,)"),
+    (_refused(truncate, ProcessEnsemble(make_uniform_grid(0.0, 1.0, 3), np.zeros((2, 3))),
+              kl_expand(np.eye(3), _GRID), 1),
+     "InvalidArgumentError: ensemble and expansion grids differ"),
+    (_refused(GaussianScale(1.0).distributional_transform, 1.0, [0.0, 1.0], [0.5]),
+     "InvalidArgumentError: x and v must have matching shapes"),
+    (_refused(Empirical, _GRID, np.zeros((4, 2))),
+     "InvalidArgumentError: samples must have shape (3, n>=1), got (4, 2)"),
+    (_refused(check_assumption, GaussianScale(1.0), _VANISHING, _GRID),
+     "AssumptionViolatedError: minorant vanishes on the support at t=1.0"),
+    (_refused(check_assumption, _EMPIRICAL, _VANISHING, _GRID),
+     "InvalidArgumentError: assumption check requires a density"),
+    (_refused(constant_K, pareto_minorant_params(_HEAVY, _GRID, epsilon=2.0, beta=0.5),
+              _HEAVY, _GRID),
+     "AssumptionViolatedError: Y lacks the L^3 moment required by the bound"),
+    (_refused(adaptive_unit_integral, lambda u, cu: np.zeros(3), 1e-9),
+     "InvalidArgumentError: integrand returned a wrong shape"),
+    (_cli("klexpand", dict(_SMALL, n_keep=1)),
+     "exit 2: config error: config key n_keep must be a list of integers\n"),
+    (_cli("simulate", dict(_SMALL, family={"lo": 0.0})),
+     "exit 2: config error: missing config key family.kind\n"),
+    (_cli("simulate", dict(_SMALL, family={"kind": "nope"})),
+     "exit 2: config error: unknown marginal kind family.kind = 'nope'\n"),
+    (_cli("check", {"mode": "other", "grid": _SMALL["grid"], "family": {"kind": "uniform"}}),
+     "exit 2: config error: mode must be 'moment' or 'assumption', got 'other'\n"),
+    (_cli("check", []), "exit 2: config error: config CONFIG must hold a JSON object\n"),
+    (_one_path_se, "se nan"),
+], ids=["grid-one-point", "grid-weights-length", "grid-ends", "grid-from-one-point",
+        "covariance-one-path", "kl-covariance-shape", "kl-mean-shape", "truncate-other-grid",
+        "transform-shapes", "empirical-shape", "minorant-vanishes", "assumption-no-density",
+        "K-lacks-moment", "integrand-shape", "cli-n_keep-not-a-list", "cli-family-without-kind",
+        "cli-unknown-kind", "cli-unknown-mode", "cli-config-not-an-object", "mc-one-path-se"])
+def test_refusals_no_other_test_reaches(tmp_path, case, outcome):
+    assert case(tmp_path) == outcome

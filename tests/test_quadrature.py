@@ -183,6 +183,14 @@ def test_an_overflowing_end_is_divergent_and_nan_still_raises():
         adaptive_unit_integral(lambda u, cu: np.where(cu < 1e-6, np.nan, 1.0), _MOMENT_DELTA)
 
 
+def test_an_unsettled_integral_at_the_node_cap_raises():
+    # 1 + sin(1e5 u) still moves 1e-3 from 2**17 to 2**18 nodes, so its
+    # value there, 1.00002, is not the integral to 1e-6
+    with pytest.raises(NumericFailureError,
+                       match=r"cap of 262144 nodes: the last doubling moved it 0\.00104 "):
+        adaptive_unit_integral(lambda u, cu: 1.0 + np.sin(1e5 * u), 1e-9)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "inf and -inf"])
 def test_a_non_finite_value_inside_raises(bad):
     # the sum is taken before the values are checked: any non-finite value,
@@ -240,11 +248,18 @@ def test_tail_verdict_calls_the_quantile_only_on_shared_nodes(monkeypatch):
         Empirical(grid, np.full((grid.m, 4), 1e200)), grid, 2.0).integral,
     lambda grid: pathspace_wasserstein_same_copula(
         Empirical(grid, np.full((grid.m, 4), 1e200)), Pareto(1.0, 0.5), grid, 2).integrated,
+    lambda grid: pathspace_wasserstein_same_copula(
+        Empirical(grid, np.full((grid.m, 5), 1e200)), Uniform(), grid, 2).integrated,
+    lambda grid: pathspace_wasserstein_same_copula(
+        Empirical(grid, np.full((grid.m, 1), 1e200)), Uniform(), grid, 2).integrated,
 ], ids=["w2-of-an-overflowing-gaussian", "moment-of-an-overflowing-gaussian",
-        "moment-of-an-overflowing-sample", "w2-of-an-overflowing-sample-against-pareto"])
+        "moment-of-an-overflowing-sample", "w2-of-an-overflowing-sample-against-pareto",
+        "w2-of-an-overflowing-sample-against-uniform",
+        "w2-of-an-overflowing-single-value-against-uniform"])
 def test_overflowing_integrands_read_inf_without_a_warning(integral):
     # |Q|**2, or the step's gap to Q, overflows; the rule reads the +inf it
-    # gets
+    # gets.  Against a bounded Q the gap overflows through the step alone,
+    # whose own |S|**2 is the tail that reads divergent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert integral(make_uniform_grid(0.0, 1.0, 5)) == np.inf

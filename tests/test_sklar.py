@@ -550,3 +550,28 @@ def test_merge_shape_mismatch_rejected():
     ens = merge(cop, Uniform())
     with pytest.raises(InvalidArgumentError):
         extract_copula(ens, fam, aux_seed=0)
+
+
+def test_an_empirical_family_serves_a_sub_grid_of_its_own():
+    # the family answers at each of its own grid times, whichever grid asks,
+    # with the bits of a family built on the sub-grid from the same columns
+    full, sub = make_uniform_grid(0.0, 1.0, 9), make_uniform_grid(0.0, 1.0, 5)
+    samples = np.round(np.random.default_rng(4).normal(size=(9, 40)), 1)
+    whole, own = Empirical(full, samples), Empirical(sub, samples[::2])
+    copula = sample_independence(sub, 60, seed=2)
+    merged = merge(copula, whole)
+    assert np.array_equal(merged.paths, merge(copula, own).paths)
+    assert np.array_equal(extract_copula(merged, whole, 7).paths,
+                          extract_copula(merged, own, 7).paths)
+
+
+def test_an_off_grid_time_is_refused_before_the_paths_are_written():
+    # only the last time, 1.125, lies off the family's grid: every support is
+    # read before a column is transformed over the process's own paths
+    family = Empirical(make_uniform_grid(0.0, 1.0, 9), np.zeros((9, 3)))
+    process = ProcessEnsemble(make_uniform_grid(0.0, 1.125, 10),
+                              np.random.default_rng(5).normal(size=(50, 10)))
+    before = process.paths.copy()
+    with pytest.raises(InvalidArgumentError, match=r"t=1\.125 is not a grid point of this family"):
+        extract_copula(process, family, 7, overwrite_process=True)
+    assert np.array_equal(process.paths, before)
